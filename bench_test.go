@@ -128,15 +128,16 @@ func BenchmarkPerturbCollectorInto(b *testing.B) {
 
 func BenchmarkPerturbMixedTuple(b *testing.B) {
 	c := dataset.NewBR()
-	col, err := NewCollector(c.Schema(), 1, PM, OUE)
+	p, err := New(c.Schema(), 1, WithMechanism(PM), WithOracle(OUE))
 	if err != nil {
 		b.Fatal(err)
 	}
+	joint := p.JointTask()
 	r := NewRand(1)
 	tup := c.Tuple(r)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := col.Perturb(tup, r); err != nil {
+		if _, err := joint.Randomize(tup, r); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,16 +145,15 @@ func BenchmarkPerturbMixedTuple(b *testing.B) {
 
 func BenchmarkWireEncodeDecode(b *testing.B) {
 	c := dataset.NewBR()
-	col, err := NewCollector(c.Schema(), 8, PM, OUE)
+	p, err := New(c.Schema(), 8, WithMechanism(PM), WithOracle(OUE))
 	if err != nil {
 		b.Fatal(err)
 	}
 	r := NewRand(1)
-	rep, err := col.Perturb(c.Tuple(r), r)
+	urep, err := p.JointTask().Randomize(c.Tuple(r), r)
 	if err != nil {
 		b.Fatal(err)
 	}
-	urep := Report{Task: TaskJoint, Entries: rep.Entries}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		frame, err := EncodeReport(urep)

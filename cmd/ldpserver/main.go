@@ -1,7 +1,7 @@
 // Command ldpserver runs the unified aggregator service: it accepts
-// randomized reports for every task (mean, frequency, range — plus legacy
-// v1 frames) on one route, optionally persists them to a crash-recoverable
-// report log, and answers every query kind on one route.
+// randomized reports for every task (mean, frequency, range, joint) on one
+// route, optionally persists them to a crash-recoverable report log, and
+// answers every query kind on one route.
 //
 // Usage:
 //
@@ -29,7 +29,7 @@
 // GET /v1/model, accepts gradient reports on the shared /v1/report
 // route, and advances the model whenever a round's group fills.
 //
-//	POST /v1/report   one or more report frames (v2 envelope or legacy v1)
+//	POST /v1/report   one or more v2 envelope report frames
 //	GET  /v1/query    ?kind=stats | mean[&attr=] | freq&attr= | range&attr=&lo=&hi=[&attr2=&lo2=&hi2=]
 //	GET  /v1/stats    aggregate report counts, ETag-cached on the watermark
 //	GET  /v1/model    federated SGD model state (-sgd only)

@@ -7,11 +7,14 @@
 // hierarchical intervals and grids, and an LDP-compliant stochastic
 // gradient descent.
 //
-// The primary API is the task-based Pipeline: one object routes each user
-// to a mean, frequency, or range task, randomizes their record locally
-// under the full per-user budget eps, and aggregates every task's reports
-// into one sharded, concurrently-ingestible state that answers every
-// query kind.
+// The API is the task-based Pipeline: one object routes each user to a
+// mean, frequency, or range task, randomizes their record locally under
+// the full per-user budget eps, and aggregates every task's reports into
+// one sharded, concurrently-ingestible state that answers every query
+// kind. The paper's mixed-attribute collector (Algorithm 4 with Section
+// IV-C's categorical extension) is the pipeline's JointTask: it samples k
+// of all d attributes at eps/k each, and its reports fold into the same
+// state.
 //
 //	sch, _ := ldp.NewSchema(
 //	    ldp.Attribute{Name: "age", Kind: ldp.Numeric},
@@ -28,9 +31,7 @@
 //	mass, _ := res.Range(ldp.RangeQuery{Attr: "age", Lo: -0.4, Hi: -0.2})
 //
 // Reports travel as one versioned, task-multiplexed wire envelope
-// (EncodeReport/DecodeReport); legacy v1 frames from the pre-pipeline API
-// still decode and still fold into a Pipeline, so old clients and report
-// logs survive the migration. Over HTTP, NewPipelineServer serves ingest
+// (EncodeReport/DecodeReport). Over HTTP, NewPipelineServer serves ingest
 // and queries on a single /v1/report + /v1/query route pair and
 // NewPipelineClient submits batches with context support.
 //
@@ -151,9 +152,10 @@
 // allocations on the instrumented ingest or cached-query paths (the
 // instrumented benchmarks are pinned at 0 allocs/op in CI).
 //
-// The pre-pipeline constructors (NewCollector, NewAggregator, NewServer,
-// NewRangeCollector, ...) remain as deprecated shims; see the MIGRATION
-// section of the README for the mapping.
+// The pre-pipeline API (NewCollector, NewAggregator, NewServer,
+// NewRangeCollector, ...) and its version-1 wire frames are retired; the
+// MIGRATION section of the README maps each removed symbol and route to
+// its replacement.
 //
 // See the examples/ directory for runnable end-to-end programs and
 // cmd/ldpbench for the harness that regenerates every table and figure of

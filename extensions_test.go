@@ -88,31 +88,33 @@ func TestSnapshotThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := NewCollector(s, 1, PM, OUE)
+	p, err := New(s, 1, WithMechanism(PM), WithOracle(OUE))
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := NewAggregator(col)
 	r := NewRand(4)
 	for i := 0; i < 500; i++ {
 		tup := NewTuple(s)
 		tup.Num[0] = 0.25
 		tup.Cat[1] = i % 3
-		rep, err := col.Perturb(tup, r)
+		rep, err := p.JointTask().Randomize(tup, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := agg.Add(rep); err != nil {
+		if err := p.Add(rep); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fresh := NewAggregator(col)
-	if err := fresh.LoadSnapshot(agg.Snapshot()); err != nil {
+	fresh, err := New(s, 1, WithMechanism(PM), WithOracle(OUE))
+	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := agg.MeanEstimate(0)
-	b, _ := fresh.MeanEstimate(0)
-	if a != b {
-		t.Errorf("snapshot mean %v != %v", b, a)
+	if err := fresh.MergeState(p.StateSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := p.Snapshot().Mean("x")
+	b, _ := fresh.Snapshot().Mean("x")
+	if a != b || fresh.N() != 500 {
+		t.Errorf("restored state: mean %v (N %d), want %v (N 500)", b, fresh.N(), a)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"ldp/internal/freq"
 	"ldp/internal/mech"
 	"ldp/internal/rng"
-	"ldp/internal/schema"
 )
 
 // KFor returns the number of attributes each user reports under Algorithm
@@ -170,7 +169,8 @@ const (
 	EntryCategoricalValue
 )
 
-// Entry is one sampled attribute inside a Report.
+// Entry is one sampled attribute inside a report's entry list (see
+// pipeline.Report).
 type Entry struct {
 	// Attr is the attribute index in the schema.
 	Attr int
@@ -182,113 +182,4 @@ type Entry struct {
 	// Resp is the frequency-oracle response; meaningful for the
 	// categorical kinds.
 	Resp freq.Response
-}
-
-// Report is one user's randomized submission under the mixed-schema
-// collector: k entries, one per sampled attribute.
-type Report struct {
-	Entries []Entry
-}
-
-// Collector implements the full Section IV-C scheme for records with both
-// numeric and categorical attributes: sample k of the d attributes, perturb
-// numeric values with PM/HM at eps/k (scaled by d/k) and categorical values
-// with a frequency oracle at eps/k.
-type Collector struct {
-	sch     *schema.Schema
-	eps     float64
-	k       int
-	scale   float64
-	inner   mech.Mechanism
-	oracles []freq.Oracle // indexed by attribute; nil for numeric attrs
-}
-
-// NewCollector builds the mixed-schema collector. numFactory provides the
-// 1-D numeric mechanism (PM or HM); oracleFactory provides the frequency
-// oracle (usually OUE) per categorical attribute. Both run at eps/k.
-func NewCollector(s *schema.Schema, eps float64, numFactory mech.Factory, oracleFactory freq.Factory) (*Collector, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if err := mech.ValidateEpsilon(eps); err != nil {
-		return nil, err
-	}
-	d := s.Dim()
-	k := KFor(eps, d)
-	budget := eps / float64(k)
-	inner, err := numFactory(budget)
-	if err != nil {
-		return nil, err
-	}
-	oracles := make([]freq.Oracle, d)
-	for i, a := range s.Attrs {
-		if a.Kind != schema.Categorical {
-			continue
-		}
-		o, err := oracleFactory(budget, a.Cardinality)
-		if err != nil {
-			return nil, fmt.Errorf("core: oracle for attribute %q: %w", a.Name, err)
-		}
-		oracles[i] = o
-	}
-	return &Collector{
-		sch:     s,
-		eps:     eps,
-		k:       k,
-		scale:   float64(d) / float64(k),
-		inner:   inner,
-		oracles: oracles,
-	}, nil
-}
-
-// Schema returns the collector's schema.
-func (c *Collector) Schema() *schema.Schema { return c.sch }
-
-// Epsilon returns the total tuple budget.
-func (c *Collector) Epsilon() float64 { return c.eps }
-
-// K returns the number of attributes each user reports.
-func (c *Collector) K() int { return c.k }
-
-// Inner returns the numeric 1-D mechanism running at eps/k.
-func (c *Collector) Inner() mech.Mechanism { return c.inner }
-
-// Oracle returns the frequency oracle for categorical attribute attr, or
-// nil if the attribute is numeric.
-func (c *Collector) Oracle(attr int) freq.Oracle { return c.oracles[attr] }
-
-// WorstCaseNumericVariance returns the worst-case per-coordinate variance
-// of the collector's numeric reports (the mixed-schema analogue of
-// NumericCollector.WorstCaseCoordinateVariance), used for confidence
-// intervals on mean estimates.
-func (c *Collector) WorstCaseNumericVariance() float64 {
-	varAt := func(t float64) float64 {
-		return c.scale*(c.inner.Variance(t)+t*t) - t*t
-	}
-	return math.Max(varAt(0), varAt(1))
-}
-
-// Perturb randomizes one user tuple into a Report.
-func (c *Collector) Perturb(t schema.Tuple, r *rng.Rand) (Report, error) {
-	if err := t.Check(c.sch); err != nil {
-		return Report{}, err
-	}
-	entries := make([]Entry, 0, c.k)
-	for _, j := range rng.SampleWithoutReplacement(r, c.sch.Dim(), c.k) {
-		if c.sch.Attrs[j].Kind == schema.Numeric {
-			entries = append(entries, Entry{
-				Attr:  j,
-				Kind:  EntryNumeric,
-				Value: c.scale * c.inner.Perturb(t.Num[j], r),
-			})
-		} else {
-			resp := c.oracles[j].Perturb(t.Cat[j], r)
-			kind := EntryCategoricalBits
-			if resp.Bits == nil {
-				kind = EntryCategoricalValue
-			}
-			entries = append(entries, Entry{Attr: j, Kind: kind, Resp: resp})
-		}
-	}
-	return Report{Entries: entries}, nil
 }

@@ -5,16 +5,13 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ldp/internal/freq"
 	"ldp/internal/mech"
 	"ldp/internal/rng"
-	"ldp/internal/schema"
 	"ldp/internal/stats"
 )
 
-func pmFactory(eps float64) (mech.Mechanism, error)      { return NewPiecewise(eps) }
-func hmFactory(eps float64) (mech.Mechanism, error)      { return NewHybrid(eps) }
-func oueFactory(eps float64, k int) (freq.Oracle, error) { return freq.NewOUE(eps, k) }
+func pmFactory(eps float64) (mech.Mechanism, error) { return NewPiecewise(eps) }
+func hmFactory(eps float64) (mech.Mechanism, error) { return NewHybrid(eps) }
 
 func TestKForRule(t *testing.T) {
 	cases := []struct {
@@ -232,201 +229,6 @@ func TestNumericCollectorPanicsOnWrongLength(t *testing.T) {
 		}
 	}()
 	c.PerturbVector([]float64{1, 2}, rng.New(23))
-}
-
-func testSchema(t *testing.T) *schema.Schema {
-	t.Helper()
-	s, err := schema.New(
-		schema.Attribute{Name: "age", Kind: schema.Numeric},
-		schema.Attribute{Name: "income", Kind: schema.Numeric},
-		schema.Attribute{Name: "gender", Kind: schema.Categorical, Cardinality: 2},
-		schema.Attribute{Name: "region", Kind: schema.Categorical, Cardinality: 5},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-func TestCollectorEndToEnd(t *testing.T) {
-	// Full pipeline: population -> perturbed reports -> aggregator
-	// estimates of means and frequencies.
-	s := testSchema(t)
-	col, err := NewCollector(s, 1, pmFactory, oueFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := NewAggregator(col)
-
-	const n = 200000
-	r := rng.New(24)
-	trueMeanAge, trueMeanIncome := 0.0, 0.0
-	genderCount := make([]float64, 2)
-	regionCount := make([]float64, 5)
-	for i := 0; i < n; i++ {
-		tup := schema.NewTuple(s)
-		tup.Num[0] = rng.Uniform(r, -1, 1)               // age
-		tup.Num[1] = rng.TruncGauss(r, 0.3, 0.25, -1, 1) // income
-		tup.Cat[2] = r.IntN(2)
-		tup.Cat[3] = int(math.Min(4, r.ExpFloat64()*1.5)) // skewed region
-		trueMeanAge += tup.Num[0]
-		trueMeanIncome += tup.Num[1]
-		genderCount[tup.Cat[2]]++
-		regionCount[tup.Cat[3]]++
-		rep, err := col.Perturb(tup, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := agg.Add(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	trueMeanAge /= n
-	trueMeanIncome /= n
-
-	if agg.N() != n {
-		t.Fatalf("aggregator N = %d, want %d", agg.N(), n)
-	}
-	gotAge, err := agg.MeanEstimate(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotIncome, err := agg.MeanEstimate(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tolerance from the collector's worst-case coordinate variance.
-	nc, _ := NewNumericCollector(pmFactory, 1, s.Dim())
-	tol := 6 * math.Sqrt(nc.WorstCaseCoordinateVariance()/n)
-	if math.Abs(gotAge-trueMeanAge) > tol {
-		t.Errorf("age mean: got %v, want %v +- %v", gotAge, trueMeanAge, tol)
-	}
-	if math.Abs(gotIncome-trueMeanIncome) > tol {
-		t.Errorf("income mean: got %v, want %v +- %v", gotIncome, trueMeanIncome, tol)
-	}
-
-	for attr, counts := range map[int][]float64{2: genderCount, 3: regionCount} {
-		got, err := agg.FreqEstimates(attr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range counts {
-			want := counts[v] / n
-			// ~n*k/d users report this attribute.
-			nr := float64(n) * float64(col.K()) / float64(s.Dim())
-			ftol := 6 * math.Sqrt(freq.TheoreticalVariance(col.Oracle(attr), want, int(nr)))
-			if math.Abs(got[v]-want) > ftol {
-				t.Errorf("attr %d value %d: freq %v, want %v +- %v", attr, v, got[v], want, ftol)
-			}
-		}
-	}
-}
-
-func TestCollectorRejectsBadTuple(t *testing.T) {
-	s := testSchema(t)
-	col, _ := NewCollector(s, 1, pmFactory, oueFactory)
-	bad := schema.NewTuple(s)
-	bad.Num[0] = 3 // out of domain
-	if _, err := col.Perturb(bad, rng.New(25)); err == nil {
-		t.Error("want error for out-of-domain numeric value")
-	}
-	bad2 := schema.NewTuple(s)
-	bad2.Cat[2] = 9
-	if _, err := col.Perturb(bad2, rng.New(26)); err == nil {
-		t.Error("want error for out-of-range categorical value")
-	}
-	short := schema.Tuple{Num: []float64{0}, Cat: []int{0}}
-	if _, err := col.Perturb(short, rng.New(27)); err == nil {
-		t.Error("want error for wrong tuple arity")
-	}
-}
-
-func TestCollectorValidation(t *testing.T) {
-	s := testSchema(t)
-	if _, err := NewCollector(s, -1, pmFactory, oueFactory); err == nil {
-		t.Error("want error for negative eps")
-	}
-	var empty schema.Schema
-	if _, err := NewCollector(&empty, 1, pmFactory, oueFactory); err == nil {
-		t.Error("want error for empty schema")
-	}
-}
-
-func TestAggregatorRejectsOutOfRangeEntry(t *testing.T) {
-	s := testSchema(t)
-	col, _ := NewCollector(s, 1, pmFactory, oueFactory)
-	agg := NewAggregator(col)
-	if err := agg.Add(Report{Entries: []Entry{{Attr: 99, Value: 1}}}); err == nil {
-		t.Error("want error for out-of-range attribute")
-	}
-	if agg.N() != 0 {
-		t.Error("failed Add must not count the report")
-	}
-}
-
-func TestAggregatorQueryErrors(t *testing.T) {
-	s := testSchema(t)
-	col, _ := NewCollector(s, 1, pmFactory, oueFactory)
-	agg := NewAggregator(col)
-	if _, err := agg.MeanEstimate(2); err == nil {
-		t.Error("mean of categorical attribute should error")
-	}
-	if _, err := agg.MeanEstimate(-1); err == nil {
-		t.Error("mean of invalid attribute should error")
-	}
-	if _, err := agg.FreqEstimates(0); err == nil {
-		t.Error("frequencies of numeric attribute should error")
-	}
-	if _, err := agg.FreqEstimates(99); err == nil {
-		t.Error("frequencies of invalid attribute should error")
-	}
-	if got, err := agg.MeanEstimate(0); err != nil || got != 0 {
-		t.Error("empty aggregator mean should be 0, nil")
-	}
-}
-
-func TestAggregatorMerge(t *testing.T) {
-	s := testSchema(t)
-	col, _ := NewCollector(s, 1, pmFactory, oueFactory)
-	whole := NewAggregator(col)
-	a, b := NewAggregator(col), NewAggregator(col)
-	r := rng.New(28)
-	for i := 0; i < 5000; i++ {
-		tup := schema.NewTuple(s)
-		tup.Num[0] = rng.Uniform(r, -1, 1)
-		tup.Cat[2] = i % 2
-		tup.Cat[3] = i % 5
-		rep, err := col.Perturb(tup, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := whole.Add(rep); err != nil {
-			t.Fatal(err)
-		}
-		dst := a
-		if i%2 == 1 {
-			dst = b
-		}
-		if err := dst.Add(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.Merge(b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), whole.N())
-	}
-	am, _ := a.MeanEstimate(0)
-	wm, _ := whole.MeanEstimate(0)
-	if !almostEqual(am, wm, 1e-12) {
-		t.Errorf("merged mean %v != whole mean %v", am, wm)
-	}
-	af, _ := a.FreqEstimates(3)
-	wf, _ := whole.FreqEstimates(3)
-	for v := range af {
-		if !almostEqual(af[v], wf[v], 1e-12) {
-			t.Errorf("value %d: merged freq %v != whole %v", v, af[v], wf[v])
-		}
-	}
 }
 
 func TestNumericCollectorKAblationSanity(t *testing.T) {

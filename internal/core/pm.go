@@ -1,8 +1,8 @@
-// Package core implements the paper's contributions: the Piecewise
-// Mechanism (PM, Algorithm 2), the Hybrid Mechanism (HM, Section III-C),
-// and the attribute-sampling collector for multidimensional records with
-// numeric and categorical attributes (Algorithm 4 and Section IV-C),
-// together with the matching aggregator-side estimators.
+// Package core implements the paper's mechanisms: the Piecewise Mechanism
+// (PM, Algorithm 2), the Hybrid Mechanism (HM, Section III-C), and the
+// attribute-sampling collector for numeric tuples (Algorithm 4), with the
+// Eq. 12 sampling rule and the report entry type. The mixed numeric and
+// categorical collector of Section IV-C is pipeline.JointTask.
 package core
 
 import (

@@ -7,6 +7,7 @@ import (
 	"ldp/internal/dataset"
 	"ldp/internal/duchi"
 	"ldp/internal/freq"
+	"ldp/internal/pipeline"
 	"ldp/internal/rng"
 	"ldp/internal/schema"
 	"ldp/internal/transport"
@@ -21,8 +22,8 @@ func init() {
 }
 
 // runAblationComm measures the average serialized report size per user for
-// the pipelines compared in Figure 4, using the repository's wire format
-// for every method:
+// the pipelines compared in Figure 4, using the repository's wire envelope
+// (a TaskJoint frame) for every method:
 //
 //   - proposed: Algorithm 4's k sampled entries (numeric value or OUE
 //     bitset);
@@ -68,23 +69,28 @@ func runAblationComm(opts Options) ([]Table, error) {
 }
 
 func meanProposedBytes(c *dataset.Census, eps float64, users int, seed uint64) (float64, error) {
-	col, err := core.NewCollector(c.Schema(), eps, pmFactory, oueFactory)
+	p, err := pipeline.New(c.Schema(), eps, pipeline.WithMechanism(pmFactory), pipeline.WithOracle(oueFactory))
 	if err != nil {
 		return 0, err
 	}
+	joint := p.JointTask()
 	total := 0
+	var frame []byte
 	for u := 0; u < users; u++ {
 		r := rng.NewStream(seed, uint64(u))
-		rep, err := col.Perturb(c.Tuple(r), r)
+		rep, err := joint.Randomize(c.Tuple(r), r)
 		if err != nil {
 			return 0, err
 		}
-		total += len(transport.EncodeReport(rep))
+		if frame, err = transport.AppendEnvelope(frame[:0], rep); err != nil {
+			return 0, err
+		}
+		total += len(frame)
 	}
 	return float64(total) / float64(users), nil
 }
 
-// meanSplitBytes sizes the best-effort baseline's upload: a report frame
+// meanSplitBytes sizes the best-effort baseline's upload: one envelope
 // carrying every attribute (numeric entries for the numeric block —
 // identical size for Laplace noise values and Duchi corner coordinates —
 // and one OUE bitset per categorical attribute).
@@ -107,6 +113,7 @@ func meanSplitBytes(sch *schema.Schema, c *dataset.Census, eps float64, users in
 		}
 	}
 	total := 0
+	var frame []byte
 	numVec := make([]float64, len(numIdx))
 	for u := 0; u < users; u++ {
 		r := rng.NewStream(seed, uint64(u))
@@ -131,7 +138,10 @@ func meanSplitBytes(sch *schema.Schema, c *dataset.Census, eps float64, users in
 				Resp: oracles[i].Perturb(tup.Cat[a], r),
 			})
 		}
-		total += len(transport.EncodeReport(core.Report{Entries: entries}))
+		if frame, err = transport.AppendEnvelope(frame[:0], pipeline.Report{Task: pipeline.TaskJoint, Entries: entries}); err != nil {
+			return 0, err
+		}
+		total += len(frame)
 	}
 	return float64(total) / float64(users), nil
 }

@@ -9,6 +9,7 @@ import (
 	"ldp/internal/freq"
 	"ldp/internal/mech"
 	"ldp/internal/noise"
+	"ldp/internal/pipeline"
 	"ldp/internal/rng"
 	"ldp/internal/schema"
 )
@@ -163,15 +164,15 @@ func runMixedOnce(sch *schema.Schema, gen func(r *rng.Rand) schema.Tuple, eps fl
 			return nil, err
 		}
 	}
-	colPM, err := core.NewCollector(sch, eps, pmFactory, oueFactory)
+	pipePM, err := pipeline.New(sch, eps, pipeline.WithMechanism(pmFactory), pipeline.WithOracle(oueFactory))
 	if err != nil {
 		return nil, err
 	}
-	colHM, err := core.NewCollector(sch, eps, hmFactory, oueFactory)
+	pipeHM, err := pipeline.New(sch, eps, pipeline.WithMechanism(hmFactory), pipeline.WithOracle(oueFactory))
 	if err != nil {
 		return nil, err
 	}
-	aggPM, aggHM := core.NewAggregator(colPM), core.NewAggregator(colHM)
+	jointPM, jointHM := pipePM.JointTask(), pipeHM.JointTask()
 
 	splitOracles := make([]freq.Oracle, dc)
 	splitEsts := make([]*freq.Estimator, dc)
@@ -214,18 +215,18 @@ func runMixedOnce(sch *schema.Schema, gen func(r *rng.Rand) schema.Tuple, eps fl
 				duSum[i] += v
 			}
 		}
-		repPM, err := colPM.Perturb(tup, r)
+		repPM, err := jointPM.Randomize(tup, r)
 		if err != nil {
 			return nil, err
 		}
-		if err := aggPM.Add(repPM); err != nil {
+		if err := pipePM.Add(repPM); err != nil {
 			return nil, err
 		}
-		repHM, err := colHM.Perturb(tup, r)
+		repHM, err := jointHM.Randomize(tup, r)
 		if err != nil {
 			return nil, err
 		}
-		if err := aggHM.Add(repHM); err != nil {
+		if err := pipeHM.Add(repHM); err != nil {
 			return nil, err
 		}
 		for i, a := range catIdx {
@@ -252,19 +253,21 @@ func runMixedOnce(sch *schema.Schema, gen func(r *rng.Rand) schema.Tuple, eps fl
 	if duMulti != nil {
 		res["num/duchi"] = numMSE(duSum)
 	}
-	meansMSE := func(agg *core.Aggregator) float64 {
+	resPM, resHM := pipePM.Snapshot(), pipeHM.Snapshot()
+	meansMSE := func(snap *pipeline.Result) float64 {
 		if dn == 0 {
 			return 0
 		}
+		means := snap.Means()
 		mse := 0.0
-		for i, m := range agg.MeanEstimates() {
-			diff := m - truthNum[i]/nf
+		for i, a := range numIdx {
+			diff := means[sch.Attrs[a].Name] - truthNum[i]/nf
 			mse += diff * diff
 		}
 		return mse / float64(dn)
 	}
-	res["num/pm"] = meansMSE(aggPM)
-	res["num/hm"] = meansMSE(aggHM)
+	res["num/pm"] = meansMSE(resPM)
+	res["num/hm"] = meansMSE(resHM)
 
 	if dc > 0 {
 		catMSE := func(estFor func(i, attr int) ([]float64, error)) (float64, error) {
@@ -286,7 +289,7 @@ func runMixedOnce(sch *schema.Schema, gen func(r *rng.Rand) schema.Tuple, eps fl
 		if err != nil {
 			return nil, err
 		}
-		proposed, err := catMSE(func(_, a int) ([]float64, error) { return aggPM.FreqEstimates(a) })
+		proposed, err := catMSE(func(_, a int) ([]float64, error) { return resPM.Freq(sch.Attrs[a].Name) })
 		if err != nil {
 			return nil, err
 		}
@@ -601,11 +604,11 @@ func runAblationFreq(opts Options) ([]Table, error) {
 }
 
 func categoricalMSEWithOracle(sch *schema.Schema, gen func(*rng.Rand) schema.Tuple, factory freq.Factory, eps float64, n int, seed uint64) (float64, error) {
-	col, err := core.NewCollector(sch, eps, pmFactory, factory)
+	p, err := pipeline.New(sch, eps, pipeline.WithMechanism(pmFactory), pipeline.WithOracle(factory))
 	if err != nil {
 		return 0, err
 	}
-	agg := core.NewAggregator(col)
+	joint := p.JointTask()
 	truth := make([][]float64, sch.Dim())
 	for i, a := range sch.Attrs {
 		truth[i] = make([]float64, a.Cardinality)
@@ -616,17 +619,18 @@ func categoricalMSEWithOracle(sch *schema.Schema, gen func(*rng.Rand) schema.Tup
 		for i := range sch.Attrs {
 			truth[i][tup.Cat[i]]++
 		}
-		rep, err := col.Perturb(tup, r)
+		rep, err := joint.Randomize(tup, r)
 		if err != nil {
 			return 0, err
 		}
-		if err := agg.Add(rep); err != nil {
+		if err := p.Add(rep); err != nil {
 			return 0, err
 		}
 	}
+	res := p.Snapshot()
 	mse, count := 0.0, 0
-	for i := range sch.Attrs {
-		est, err := agg.FreqEstimates(i)
+	for i, a := range sch.Attrs {
+		est, err := res.Freq(a.Name)
 		if err != nil {
 			return 0, err
 		}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"ldp/internal/core"
 	"ldp/internal/dataset"
 	"ldp/internal/pipeline"
 	"ldp/internal/rng"
@@ -15,7 +14,7 @@ import (
 func init() {
 	register(Runner{
 		Name: "pipeline",
-		Desc: "unified-pipeline ingest throughput: sharded aggregator (1/4/8 shards), per-report Add vs columnar AddBatch (1/64/1024 reports per batch), vs legacy single lock",
+		Desc: "unified-pipeline ingest throughput: sharded aggregator (1/4/8 shards), per-report Add vs columnar AddBatch (1/64/1024 reports per batch)",
 		Run:  runPipelineBench,
 	})
 }
@@ -27,10 +26,10 @@ var pipelineBatchSizes = []int{1, 64, 1024}
 // pipelineShardCounts is the shard axis of the ingest benchmark.
 var pipelineShardCounts = []int{1, 4, 8}
 
-// runPipelineBench measures server-side ingest throughput (reports/sec):
-// the legacy single-lock core.Aggregator against the unified pipeline's
-// sharded aggregator at 1, 4, and 8 shards, ingesting per report (Add)
-// and in columnar batches of 1, 64, and 1024 reports (AddBatch). Reports
+// runPipelineBench measures server-side ingest throughput (reports/sec) of
+// the pipeline's sharded aggregator at 1, 4, and 8 shards, ingesting per
+// report (Add) and in columnar batches of 1, 64, and 1024 reports
+// (AddBatch). Reports
 // are pre-randomized (and pre-batched) so only the fold is on the clock;
 // opts.Workers goroutines feed each aggregator and the best of opts.Runs
 // timings is reported (throughput is a max-statistic: slower runs measure
@@ -57,21 +56,6 @@ func runPipelineBench(opts Options) ([]Table, error) {
 			return nil, err
 		}
 		reps[i] = rep
-	}
-
-	// And the legacy stream for the single-lock baseline.
-	col, err := core.NewCollector(c.Schema(), opts.Eps, pmFactory, oueFactory)
-	if err != nil {
-		return nil, err
-	}
-	legacy := make([]core.Report, opts.N)
-	for i := range legacy {
-		r := rng.NewStream(opts.Seed+1, uint64(i))
-		rep, err := col.Perturb(c.Tuple(r), r)
-		if err != nil {
-			return nil, err
-		}
-		legacy[i] = rep
 	}
 
 	// Pre-batch the unified stream once per batch size; batches are only
@@ -158,15 +142,6 @@ func runPipelineBench(opts Options) ([]Table, error) {
 		YLabel:  "reports/sec",
 		Columns: []string{"reports_per_sec"},
 	}
-
-	rate, err := best(len(legacy), func() (func(i int) error, error) {
-		agg := core.NewAggregator(col)
-		return func(i int) error { return agg.Add(legacy[i]) }, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	table.Rows = append(table.Rows, TableRow{X: "legacy-single-lock", Values: []float64{rate}})
 
 	for _, shards := range pipelineShardCounts {
 		newPipeline := func() (*pipeline.Pipeline, error) {

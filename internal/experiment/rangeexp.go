@@ -95,7 +95,7 @@ func rangeRun(s *schema.Schema, eps float64, n int, seed uint64) (map[string]flo
 	if err != nil {
 		return nil, err
 	}
-	agg := rangequery.NewAggregator(col)
+	acc := rangequery.NewAccumulator(col)
 	// Flat baseline: each user reports their leaf bucket of one uniformly
 	// sampled attribute through OUE over all B values.
 	flatCol, err := hist.NewCollector(eps, rangeBuckets, nil)
@@ -117,7 +117,7 @@ func rangeRun(s *schema.Schema, eps float64, n int, seed uint64) (map[string]flo
 		if err != nil {
 			return nil, err
 		}
-		if err := agg.Add(rep); err != nil {
+		if err := acc.Add(rep); err != nil {
 			return nil, err
 		}
 	}
@@ -142,7 +142,7 @@ func rangeRun(s *schema.Schema, eps float64, n int, seed uint64) (map[string]flo
 				}
 			}
 			truth /= float64(n)
-			got, err := agg.Range1D(a, q[0], q[1])
+			got, err := acc.Range1D(a, q[0], q[1])
 			if err != nil {
 				return nil, err
 			}
@@ -164,7 +164,7 @@ func rangeRun(s *schema.Schema, eps float64, n int, seed uint64) (map[string]flo
 			}
 		}
 		truth /= float64(n)
-		got, err := agg.Range2D(0, 1, q[0], q[1], q[2], q[3])
+		got, err := acc.Range2D(0, 1, q[0], q[1], q[2], q[3])
 		if err != nil {
 			return nil, err
 		}

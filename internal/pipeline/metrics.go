@@ -54,7 +54,7 @@ func (p *Pipeline) initTelemetry(reg *telemetry.Registry) {
 	m.rejectReports = reg.Counter("ldp_ingest_rejects_total", rejectsHelp, telemetry.L("path", "report"))
 
 	const reportsHelp = "Reports folded into the aggregate state, by task."
-	kinds := []TaskKind{TaskJoint} // legacy v1 frames fold on any pipeline
+	kinds := []TaskKind{TaskJoint} // every pipeline has a joint task
 	if p.mean != nil {
 		kinds = append(kinds, TaskMean)
 	}

@@ -1,7 +1,7 @@
-// Package pipeline unifies the repository's collection stacks behind one
-// task-based API, the architecture of the paper's system model (Section
-// II): the aggregator runs a single stream of randomized reports and
-// answers mean, frequency, and range queries from it.
+// Package pipeline is the repository's one collection stack: a task-based
+// API in the architecture of the paper's system model (Section II), where
+// the aggregator runs a single stream of randomized reports and answers
+// mean, frequency, and range queries from it.
 //
 // A Pipeline is built from a schema, a total per-user privacy budget eps,
 // and a set of functional options. It registers up to four tasks:
@@ -15,6 +15,11 @@
 //   - GradientTask — federated LDP-SGD over clipped per-example loss
 //     gradients, coordinated round by round by a Trainer (enabled with
 //     WithGradient; see gradient.go).
+//
+// A fifth task, JointTask, is the paper's Algorithm 4 over the whole
+// schema: one report samples numeric and categorical attributes together.
+// It is never routed; callers randomize through Pipeline.JointTask, and
+// its reports fold into the same state as every other task's.
 //
 // Each user is routed to exactly one task (a data-independent coin flip)
 // and spends the entire budget eps on that task's randomizer, in the
@@ -34,9 +39,7 @@
 // steady-state fold allocates nothing. Per-report Add is a thin wrapper
 // locking one shard, and Snapshot/Merge never take a global lock — they
 // visit shards one at a time, so ingest on the other shards proceeds
-// concurrently. Legacy Algorithm-4 reports (the v1 wire format, decoded
-// as TaskJoint) fold into the same state, so a fleet of old clients can
-// keep reporting through a new server during migration.
+// concurrently.
 package pipeline
 
 import (
@@ -66,10 +69,9 @@ const (
 	TaskFreq
 	// TaskRange is the range-query task (hierarchies + 2-D grids).
 	TaskRange
-	// TaskJoint is the legacy Algorithm-4 mixed report (numeric and
-	// categorical entries in one report, scaled over the full schema). New
-	// pipelines never produce it; it exists so v1 wire frames keep folding
-	// into a unified aggregator.
+	// TaskJoint is the paper's Algorithm-4 mixed report (numeric and
+	// categorical entries in one report, scaled over the full schema),
+	// produced by JointTask.
 	TaskJoint
 	// TaskGradient is the federated LDP-SGD task (registered with
 	// WithGradient): each report carries one user's randomized clipped
@@ -124,9 +126,8 @@ type config struct {
 	telemetry     *telemetry.Registry
 }
 
-// WithMechanism selects the 1-D numeric mechanism factory used by the mean
-// task (and the legacy-compat joint state). The default is the paper's
-// Hybrid Mechanism.
+// WithMechanism selects the 1-D numeric mechanism factory used by the mean,
+// joint, and gradient tasks. The default is the paper's Hybrid Mechanism.
 func WithMechanism(f mech.Factory) Option {
 	return func(c *config) error {
 		if f == nil {
@@ -137,8 +138,8 @@ func WithMechanism(f mech.Factory) Option {
 	}
 }
 
-// WithOracle selects the frequency-oracle factory used by the freq and
-// range tasks (and the legacy-compat joint state). The default is OUE.
+// WithOracle selects the frequency-oracle factory used by the freq, joint,
+// and range tasks. The default is OUE.
 func WithOracle(f freq.Factory) Option {
 	return func(c *config) error {
 		if f == nil {
@@ -205,14 +206,6 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 	}
 }
 
-// jointCompat holds the state needed to fold legacy Algorithm-4 reports
-// (TaskJoint) into the pipeline: the oracle parameters the old collector
-// would have used for this schema and budget.
-type jointCompat struct {
-	oracles []freq.Oracle // indexed by schema attribute; nil for numeric
-	bits    bool          // whether the oracle responses carry bitsets
-}
-
 // shard is one lock domain of the aggregation state. Its accumulators are
 // flat arrays — numeric sums and raw frequency-oracle support counts per
 // attribute — so folding a report (or a whole batch span) is direct array
@@ -237,8 +230,8 @@ type shard struct {
 
 	// Frequency-oracle support counts, indexed by attribute (nil for
 	// numeric attributes), with per-attribute reporter counts. The freq
-	// task and legacy joint reports run their oracles at different
-	// budgets, so they accumulate separately.
+	// and joint tasks run their oracles at different budgets, so they
+	// accumulate separately.
 	freqCounts  [][]float64
 	freqN       []int64
 	jointCounts [][]float64
@@ -256,7 +249,7 @@ type shard struct {
 	// component's debiased estimate still moves, so every fold marks the
 	// components it touched regardless of what the counts did.
 	dFreq  bitset // freq-task count columns, by schema attribute
-	dJoint bitset // legacy-joint count columns, by schema attribute
+	dJoint bitset // joint-task count columns, by schema attribute
 	dLevel bitset // hierarchy level slots (see rangequery.Collector.LevelIndex)
 	dGrid  bitset // 2-D grid slots, by pair index
 }
@@ -276,7 +269,7 @@ type Pipeline struct {
 	rangeT  *RangeTask
 	grad    *GradientTask
 	trainer *Trainer
-	joint   jointCompat
+	joint   *JointTask
 	shards  []*shard
 	cursor  atomic.Uint64
 	sticky  atomic.Uint64
@@ -408,22 +401,11 @@ func New(s *schema.Schema, eps float64, opts ...Option) (*Pipeline, error) {
 		p.cum[i] /= total
 	}
 
-	// Legacy-compat joint state: the oracle parameters a v1 core.Collector
-	// would use for this schema and budget (eps/k with k over all d
-	// attributes).
-	if len(catIdx) > 0 {
-		kJoint := core.KFor(eps, s.Dim())
-		p.joint.oracles = make([]freq.Oracle, s.Dim())
-		budget := eps / float64(kJoint)
-		for _, j := range catIdx {
-			o, err := cfg.oracleFactory(budget, s.Attrs[j].Cardinality)
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: joint-compat oracle for attribute %q: %w", s.Attrs[j].Name, err)
-			}
-			p.joint.oracles[j] = o
-		}
-		p.joint.bits = freq.UsesBitset(p.joint.oracles[catIdx[0]])
+	joint, err := newJointTask(s, eps, cfg.mechFactory, cfg.oracleFactory)
+	if err != nil {
+		return nil, err
 	}
+	p.joint = joint
 
 	p.attrMeta = make([]attrMeta, s.Dim())
 	for i, a := range s.Attrs {
@@ -541,6 +523,10 @@ func (p *Pipeline) FreqTask() *FreqTask { return p.freq }
 
 // RangeTask returns the registered range task, or nil.
 func (p *Pipeline) RangeTask() *RangeTask { return p.rangeT }
+
+// JointTask returns the Algorithm-4 task over the whole schema. Every
+// pipeline has one; it is never routed.
+func (p *Pipeline) JointTask() *JointTask { return p.joint }
 
 // GradientTask returns the registered federated SGD task, or nil.
 func (p *Pipeline) GradientTask() *GradientTask { return p.grad }
@@ -1469,111 +1455,23 @@ func derivWorkers() int {
 	return w
 }
 
-// Merge folds another pipeline's aggregate state into this one. Both
-// pipelines must be built from the same schema, budget, and task set.
-// Shard counts may differ; each source shard is snapshotted under its own
-// lock before this pipeline locks, so concurrent cross-merges (and
-// self-merges) cannot deadlock.
+// Merge folds another pipeline's aggregate state into this one: it
+// exports o's state with StateSnapshot and folds it in with MergeState,
+// so the two pipelines must have the same Fingerprint (budget, schema,
+// and task set). Shard counts may differ. The source's shards are locked
+// one at a time before this pipeline locks, so concurrent cross-merges
+// (and self-merges) cannot deadlock.
 func (p *Pipeline) Merge(o *Pipeline) error {
-	if err := p.compatible(o); err != nil {
-		return err
-	}
-	for i, src := range o.shards {
-		// Copy the source shard without holding any destination lock.
-		src.mu.Lock()
-		tmp := p.newShard()
-		tmp.addShard(src)
-		src.mu.Unlock()
-
-		dst := p.shards[i%len(p.shards)]
-		dst.mu.Lock()
-		dst.addShard(tmp)
-		// Bulk state arrivals carry no per-component provenance; mark
-		// everything dirty so the next incremental rebuild re-syncs it all.
-		p.markAllDirty(dst)
-		dst.mu.Unlock()
-	}
-	return nil
-}
-
-// markAllDirty conservatively marks every registered component of a shard
-// dirty. The caller holds the shard lock.
-func (p *Pipeline) markAllDirty(sh *shard) {
-	for j, m := range p.attrMeta {
-		if !m.numeric {
-			sh.dFreq.set(j)
-			sh.dJoint.set(j)
-		}
-	}
-	for li := 0; li < p.lvlSlots; li++ {
-		sh.dLevel.set(li)
-	}
-	for g := 0; g < p.gridSlots; g++ {
-		sh.dGrid.set(g)
-	}
-}
-
-// addShard folds another shard's state into this one. Both shards must be
-// built by the same pipeline configuration; the caller holds whatever
-// locks guard the two shards.
-func (sh *shard) addShard(o *shard) {
-	sh.epoch.Add(o.nMean + o.nFreq + o.nJoint + o.nRange)
-	sh.nMean += o.nMean
-	sh.nFreq += o.nFreq
-	sh.nJoint += o.nJoint
-	sh.nRange += o.nRange
-	for j, v := range o.meanSum {
-		sh.meanSum[j] += v
-	}
-	for j, v := range o.jointSum {
-		sh.jointSum[j] += v
-	}
-	for j, counts := range o.freqCounts {
-		for v, c := range counts {
-			sh.freqCounts[j][v] += c
-		}
-	}
-	for j, n := range o.freqN {
-		sh.freqN[j] += n
-	}
-	for j, counts := range o.jointCounts {
-		for v, c := range counts {
-			sh.jointCounts[j][v] += c
-		}
-	}
-	for j, n := range o.jointN {
-		sh.jointN[j] += n
-	}
-	if sh.rangeAcc != nil {
-		sh.rangeAcc.Merge(o.rangeAcc)
-	}
-}
-
-// compatible checks that o's configuration matches p's closely enough to
-// merge state.
-func (p *Pipeline) compatible(o *Pipeline) error {
 	if o == nil {
 		return fmt.Errorf("pipeline: merge with nil pipeline")
 	}
-	if p.eps != o.eps {
-		return fmt.Errorf("pipeline: merge across budgets (%g vs %g)", p.eps, o.eps)
-	}
-	if p.sch.Dim() != o.sch.Dim() {
-		return fmt.Errorf("pipeline: merge across schemas (%d vs %d attributes)", p.sch.Dim(), o.sch.Dim())
-	}
-	for i, a := range p.sch.Attrs {
-		b := o.sch.Attrs[i]
-		if a.Name != b.Name || a.Kind != b.Kind || (a.Kind == schema.Categorical && a.Cardinality != b.Cardinality) {
-			return fmt.Errorf("pipeline: merge across schemas (attribute %d: %q vs %q)", i, a.Name, b.Name)
-		}
-	}
-	if (p.mean == nil) != (o.mean == nil) || (p.freq == nil) != (o.freq == nil) || (p.rangeT == nil) != (o.rangeT == nil) || (p.grad == nil) != (o.grad == nil) {
-		return fmt.Errorf("pipeline: merge across task sets")
-	}
-	if p.grad != nil {
+	if p.trainer != nil || o.trainer != nil {
 		// Round-based training state (current round, partially filled
 		// group) has no meaningful union across trainers.
 		return fmt.Errorf("pipeline: merging federated training state is not supported")
 	}
-	return nil
+	if p.Fingerprint() != o.Fingerprint() {
+		return fmt.Errorf("pipeline: merge across budgets, schemas, or task sets")
+	}
+	return p.MergeState(o.StateSnapshot())
 }

@@ -130,53 +130,131 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
-func TestPipelineJointIngest(t *testing.T) {
-	s := testSchema(t)
-	p, err := New(s, 1, WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := core.NewCollector(s, 1,
-		func(e float64) (mech.Mechanism, error) { return core.NewPiecewise(e) },
-		func(e float64, k int) (freq.Oracle, error) { return freq.NewOUE(e, k) },
+// jointSchema mixes two numeric and two categorical attributes, one of
+// them with a skewed five-value domain.
+func jointSchema(t *testing.T) *schema.Schema {
+	t.Helper()
+	s, err := schema.New(
+		schema.Attribute{Name: "age", Kind: schema.Numeric},
+		schema.Attribute{Name: "income", Kind: schema.Numeric},
+		schema.Attribute{Name: "gender", Kind: schema.Categorical, Cardinality: 2},
+		schema.Attribute{Name: "region", Kind: schema.Categorical, Cardinality: 5},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
 
-	const users = 50_000
-	var trueAge, trueG1 float64
-	for i := 0; i < users; i++ {
-		r := rng.NewStream(11, uint64(i))
-		tup := sampleTuple(s, r)
-		trueAge += tup.Num[0]
-		trueG1 += float64(tup.Cat[2])
-		rep, err := col.Perturb(tup, r)
+// TestPipelineJointIngest drives the paper's Algorithm 4 end to end —
+// JointTask randomization, sharded Add, Snapshot queries — with each of
+// the paper's numeric mechanisms, and holds every mean and frequency
+// estimate to 6 standard deviations of its analytic error.
+func TestPipelineJointIngest(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		f    mech.Factory
+	}{
+		{"pm", func(e float64) (mech.Mechanism, error) { return core.NewPiecewise(e) }},
+		{"hm", func(e float64) (mech.Mechanism, error) { return core.NewHybrid(e) }},
+	} {
+		t.Run(m.name, func(t *testing.T) { testJointIngest(t, m.f) })
+	}
+}
+
+func testJointIngest(t *testing.T, mf mech.Factory) {
+	s := jointSchema(t)
+	p, err := New(s, 1, WithShards(2), WithMechanism(mf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	joint := p.JointTask()
+
+	const n = 200000
+	r := rng.New(24)
+	trueMeanAge, trueMeanIncome := 0.0, 0.0
+	genderCount := make([]float64, 2)
+	regionCount := make([]float64, 5)
+	for i := 0; i < n; i++ {
+		tup := schema.NewTuple(s)
+		tup.Num[0] = rng.Uniform(r, -1, 1)               // age
+		tup.Num[1] = rng.TruncGauss(r, 0.3, 0.25, -1, 1) // income
+		tup.Cat[2] = r.IntN(2)
+		tup.Cat[3] = int(math.Min(4, r.ExpFloat64()*1.5)) // skewed region
+		trueMeanAge += tup.Num[0]
+		trueMeanIncome += tup.Num[1]
+		genderCount[tup.Cat[2]]++
+		regionCount[tup.Cat[3]]++
+		rep, err := joint.Randomize(tup, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Add(Report{Task: TaskJoint, Entries: rep.Entries}); err != nil {
+		if err := p.Add(rep); err != nil {
 			t.Fatal(err)
 		}
 	}
+	trueMeanAge /= n
+	trueMeanIncome /= n
 
 	res := p.Snapshot()
-	if res.NTask(TaskJoint) != users {
-		t.Fatalf("joint count = %d, want %d", res.NTask(TaskJoint), users)
+	if res.NTask(TaskJoint) != n || res.N() != n {
+		t.Fatalf("joint count = %d of %d, want %d", res.NTask(TaskJoint), res.N(), n)
 	}
-	age, err := res.Mean("age")
+	// Tolerance from the collector's worst-case coordinate variance.
+	nc, err := core.NewNumericCollector(mf, 1, s.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := trueAge / users; math.Abs(age-want) > 0.08 {
-		t.Errorf("joint Mean(age) = %v, want about %v", age, want)
+	tol := 6 * math.Sqrt(nc.WorstCaseCoordinateVariance()/n)
+	for name, want := range map[string]float64{"age": trueMeanAge, "income": trueMeanIncome} {
+		got, err := res.Mean(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > tol {
+			t.Errorf("%s mean: got %v, want %v +- %v", name, got, want, tol)
+		}
 	}
-	freqs, err := res.Freq("gender")
+
+	for attr, counts := range map[int][]float64{2: genderCount, 3: regionCount} {
+		got, err := res.Freq(s.Attrs[attr].Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range counts {
+			want := counts[v] / n
+			// ~n*k/d users report this attribute.
+			nr := float64(n) * float64(joint.K()) / float64(s.Dim())
+			ftol := 6 * math.Sqrt(freq.TheoreticalVariance(joint.Oracle(attr), want, int(nr)))
+			if math.Abs(got[v]-want) > ftol {
+				t.Errorf("attr %d value %d: freq %v, want %v +- %v", attr, v, got[v], want, ftol)
+			}
+		}
+	}
+}
+
+// TestJointTaskRejectsBadTuple: the joint task is never routed, so it
+// checks the tuple itself before randomizing.
+func TestJointTaskRejectsBadTuple(t *testing.T) {
+	s := jointSchema(t)
+	p, err := New(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := trueG1 / users; math.Abs(freqs[1]-want) > 0.08 {
-		t.Errorf("joint Freq(gender)[1] = %v, want about %v", freqs[1], want)
+	joint := p.JointTask()
+	bad := schema.NewTuple(s)
+	bad.Num[0] = 3 // out of domain
+	if _, err := joint.Randomize(bad, rng.New(25)); err == nil {
+		t.Error("want error for out-of-domain numeric value")
+	}
+	bad2 := schema.NewTuple(s)
+	bad2.Cat[2] = 9
+	if _, err := joint.Randomize(bad2, rng.New(26)); err == nil {
+		t.Error("want error for out-of-range categorical value")
+	}
+	short := schema.Tuple{Num: []float64{0}, Cat: []int{0}}
+	if _, err := joint.Randomize(short, rng.New(27)); err == nil {
+		t.Error("want error for wrong tuple arity")
 	}
 }
 
@@ -241,9 +319,24 @@ func TestPipelineOptionErrors(t *testing.T) {
 	}
 }
 
+// TestNewValidation: New builds the joint task of every pipeline, so it
+// refuses the budgets and schemas Algorithm 4 cannot run on.
+func TestNewValidation(t *testing.T) {
+	if _, err := New(jointSchema(t), -1); err == nil {
+		t.Error("want error for negative eps")
+	}
+	if _, err := New(&schema.Schema{}, 1); err == nil {
+		t.Error("want error for empty schema")
+	}
+}
+
 func TestPipelineValidation(t *testing.T) {
 	s := testSchema(t)
 	p, err := New(s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grr, err := New(s, 1, WithOracle(func(e float64, k int) (freq.Oracle, error) { return freq.NewGRR(e, k) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,36 +344,43 @@ func TestPipelineValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		rep  Report
+		p    *Pipeline // nil: the OUE pipeline p
 	}{
-		{"unknown task", Report{Task: TaskKind(99)}},
-		{"empty mean", Report{Task: TaskMean}},
-		{"attr out of range", Report{Task: TaskMean, Entries: []core.Entry{{Attr: 9, Kind: core.EntryNumeric}}}},
-		{"mean on categorical", Report{Task: TaskMean, Entries: []core.Entry{{Attr: 2, Kind: core.EntryNumeric}}}},
-		{"nan value", Report{Task: TaskMean, Entries: []core.Entry{{Attr: 0, Kind: core.EntryNumeric, Value: math.NaN()}}}},
-		{"freq with numeric entry", Report{Task: TaskFreq, Entries: []core.Entry{{Attr: 0, Kind: core.EntryNumeric}}}},
-		{"bitset width", Report{Task: TaskFreq, Entries: []core.Entry{{Attr: 2, Kind: core.EntryCategoricalBits, Resp: freq.Response{Bits: append(bits, 0)}}}}},
-		{"grr value range", Report{Task: TaskFreq, Entries: []core.Entry{{Attr: 2, Kind: core.EntryCategoricalValue, Resp: freq.Response{Value: 7}}}}},
-		{"range without task", Report{Task: TaskRange}},
+		{"unknown task", Report{Task: TaskKind(99)}, nil},
+		{"empty mean", Report{Task: TaskMean}, nil},
+		{"attr out of range", Report{Task: TaskMean, Entries: []core.Entry{{Attr: 9, Kind: core.EntryNumeric}}}, nil},
+		{"mean on categorical", Report{Task: TaskMean, Entries: []core.Entry{{Attr: 2, Kind: core.EntryNumeric}}}, nil},
+		{"nan value", Report{Task: TaskMean, Entries: []core.Entry{{Attr: 0, Kind: core.EntryNumeric, Value: math.NaN()}}}, nil},
+		{"freq with numeric entry", Report{Task: TaskFreq, Entries: []core.Entry{{Attr: 0, Kind: core.EntryNumeric}}}, nil},
+		{"bitset width", Report{Task: TaskFreq, Entries: []core.Entry{{Attr: 2, Kind: core.EntryCategoricalBits, Resp: freq.Response{Bits: append(bits, 0)}}}}, nil},
+		{"grr value range", Report{Task: TaskFreq, Entries: []core.Entry{{Attr: 2, Kind: core.EntryCategoricalValue, Resp: freq.Response{Value: 7}}}}, grr},
+		{"range without task", Report{Task: TaskRange}, nil},
+		{"joint attr out of range", Report{Task: TaskJoint, Entries: []core.Entry{{Attr: 99, Kind: core.EntryNumeric, Value: 1}}}, nil},
+		{"joint numeric on categorical", Report{Task: TaskJoint, Entries: []core.Entry{{Attr: 2, Kind: core.EntryNumeric, Value: 1}}}, nil},
+		{"joint bitset width", Report{Task: TaskJoint, Entries: []core.Entry{{Attr: 2, Kind: core.EntryCategoricalBits, Resp: freq.Response{Bits: append(bits, 0)}}}}, nil},
+		{"joint grr value range", Report{Task: TaskJoint, Entries: []core.Entry{{Attr: 2, Kind: core.EntryCategoricalValue, Resp: freq.Response{Value: 2}}}}, grr},
 	}
 	for _, tc := range cases {
-		if err := p.Validate(tc.rep); err == nil {
-			t.Errorf("%s: Validate accepted a malformed report", tc.name)
-		}
-		if err := p.Add(tc.rep); err == nil {
-			t.Errorf("%s: Add accepted a malformed report", tc.name)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			pl := tc.p
+			if pl == nil {
+				pl = p
+			}
+			if err := pl.Validate(tc.rep); err == nil {
+				t.Error("Validate accepted a malformed report")
+			}
+			if err := pl.Add(tc.rep); err == nil {
+				t.Error("Add accepted a malformed report")
+			}
+		})
 	}
-	if p.N() != 0 {
-		t.Errorf("rejected reports must not count: N = %d", p.N())
+	if p.N() != 0 || grr.N() != 0 {
+		t.Errorf("rejected reports must not count: N = %d, %d", p.N(), grr.N())
 	}
 
 	// Response shape must match the oracle: a GRR pipeline rejects bitset
 	// entries (an all-ones bitset would poison every domain value), and an
 	// OUE pipeline rejects single-value entries.
-	grr, err := New(s, 1, WithOracle(func(e float64, k int) (freq.Oracle, error) { return freq.NewGRR(e, k) }))
-	if err != nil {
-		t.Fatal(err)
-	}
 	allOnes := freq.NewBitset(2)
 	allOnes.Set(0)
 	allOnes.Set(1)
@@ -365,6 +465,101 @@ func TestPipelineMerge(t *testing.T) {
 	}
 	if err := p1.Merge(nil); err == nil {
 		t.Error("merge with nil should error")
+	}
+}
+
+// TestResultQueryErrors: a query must name a known attribute of the
+// right kind, and an empty pipeline estimates a mean of 0.
+func TestResultQueryErrors(t *testing.T) {
+	p, err := New(jointSchema(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := p.Snapshot()
+	if _, err := res.Mean("gender"); err == nil {
+		t.Error("mean of categorical attribute should error")
+	}
+	if _, err := res.Mean("nope"); err == nil {
+		t.Error("mean of unknown attribute should error")
+	}
+	if _, err := res.Freq("age"); err == nil {
+		t.Error("frequencies of numeric attribute should error")
+	}
+	if _, err := res.Freq("nope"); err == nil {
+		t.Error("frequencies of unknown attribute should error")
+	}
+	if got, err := res.Mean("age"); err != nil || got != 0 {
+		t.Errorf("empty pipeline Mean = %v, %v; want 0, nil", got, err)
+	}
+}
+
+// TestPipelineMergeJoint: joint-task reports split across two pipelines
+// merge back to the estimates of one pipeline that folded them all.
+func TestPipelineMergeJoint(t *testing.T) {
+	s := jointSchema(t)
+	build := func() *Pipeline {
+		p, err := New(s, 1, WithMechanism(func(e float64) (mech.Mechanism, error) { return core.NewPiecewise(e) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	whole, a, b := build(), build(), build()
+	joint := whole.JointTask()
+	r := rng.New(28)
+	for i := 0; i < 5000; i++ {
+		tup := schema.NewTuple(s)
+		tup.Num[0] = rng.Uniform(r, -1, 1)
+		tup.Cat[2] = i % 2
+		tup.Cat[3] = i % 5
+		rep, err := joint.Randomize(tup, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := whole.Add(rep); err != nil {
+			t.Fatal(err)
+		}
+		dst := a
+		if i%2 == 1 {
+			dst = b
+		}
+		if err := dst.Add(rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	if a.N() != whole.N() {
+		t.Fatalf("merged N = %d, want %d", a.N(), whole.N())
+	}
+	ar, wr := a.Snapshot(), whole.Snapshot()
+	if ar.NTask(TaskJoint) != wr.NTask(TaskJoint) {
+		t.Fatalf("merged joint count = %d, want %d", ar.NTask(TaskJoint), wr.NTask(TaskJoint))
+	}
+	am, err := ar.Mean("age")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wm, err := wr.Mean("age")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(am-wm) > 1e-12 {
+		t.Errorf("merged mean %v != whole mean %v", am, wm)
+	}
+	af, err := ar.Freq("region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf, err := wr.Freq("region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range af {
+		if math.Abs(af[v]-wf[v]) > 1e-12 {
+			t.Errorf("value %d: merged freq %v != whole %v", v, af[v], wf[v])
+		}
 	}
 }
 

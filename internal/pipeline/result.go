@@ -48,9 +48,9 @@ type Result struct {
 	jointSum []float64
 
 	// Pooled support counts by attribute (nil entries for numeric
-	// attributes), with the oracles that debias them. The freq task and
-	// legacy joint reports run their oracles at different budgets, so the
-	// two streams pool separately and combine at query time.
+	// attributes), with the oracles that debias them. The freq and joint
+	// tasks run their oracles at different budgets, so the two streams
+	// pool separately and combine at query time.
 	freqOracles  []freq.Oracle
 	jointOracles []freq.Oracle
 	freqCounts   [][]float64
@@ -116,7 +116,7 @@ func (r *Result) attrIndex(name string) (int, error) {
 }
 
 // Mean estimates the mean of the named numeric attribute. Reports from
-// the mean task and legacy joint reports are both unbiased per-report
+// the mean and joint tasks are both unbiased per-report
 // contributions to the attribute sum, so the combined estimator divides
 // the pooled sum by the pooled report count.
 func (r *Result) Mean(attr string) (float64, error) {
@@ -150,7 +150,7 @@ func (r *Result) Means() map[string]float64 {
 
 // freqCombined returns the memoized combined frequency estimate of
 // categorical attribute i: on first call it debiases the freq-task and
-// legacy-joint support counts through their DebiasViews and combines the
+// joint-task support counts through their DebiasViews and combines the
 // two streams weighted by per-attribute reporter counts; afterwards it is
 // an atomic load. The returned slice is shared — callers must not write
 // to it.

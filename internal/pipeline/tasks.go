@@ -12,8 +12,8 @@ import (
 )
 
 // Task is one randomization sub-task of a Pipeline. The concrete tasks are
-// MeanTask, FreqTask, and RangeTask; they are constructed by New and
-// cannot be registered from outside the package.
+// MeanTask, FreqTask, RangeTask, and JointTask; they are constructed by
+// New and cannot be registered from outside the package.
 type Task interface {
 	// Kind identifies the task's payload type.
 	Kind() TaskKind
@@ -152,6 +152,91 @@ func (t *FreqTask) Randomize(tp schema.Tuple, r *rng.Rand) (Report, error) {
 		entries = append(entries, core.Entry{Attr: j, Kind: kind, Resp: resp})
 	}
 	return Report{Task: TaskFreq, Entries: entries}, nil
+}
+
+// JointTask is the paper's Algorithm 4 over the whole schema (Section
+// IV-C), the mixed-attribute collector the paper's Figures 4-8 measure:
+// each user samples k = max(1, min(d, floor(eps/2.5))) of all d
+// attributes, perturbs each sampled numeric value with the pipeline's 1-D
+// mechanism at eps/k and scales it by d/k, and perturbs each sampled
+// categorical value with the frequency oracle at eps/k. Its reports carry
+// numeric and categorical entries together under TaskJoint and fold into
+// the same aggregate as every other task. It is never routed: callers
+// randomize through Pipeline.JointTask.
+type JointTask struct {
+	sch     *schema.Schema
+	k       int
+	scale   float64
+	inner   mech.Mechanism
+	oracles []freq.Oracle // indexed by schema attribute; nil without categorical attributes
+	bits    bool          // whether the oracle responses carry bitsets
+}
+
+func newJointTask(s *schema.Schema, eps float64, mf mech.Factory, of freq.Factory) (*JointTask, error) {
+	d := s.Dim()
+	k := core.KFor(eps, d)
+	budget := eps / float64(k)
+	inner, err := mf(budget)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: joint task mechanism: %w", err)
+	}
+	t := &JointTask{sch: s, k: k, scale: float64(d) / float64(k), inner: inner}
+	if catIdx := s.CategoricalIdx(); len(catIdx) > 0 {
+		t.oracles = make([]freq.Oracle, d)
+		for _, j := range catIdx {
+			o, err := of(budget, s.Attrs[j].Cardinality)
+			if err != nil {
+				return nil, fmt.Errorf("pipeline: joint task oracle for attribute %q: %w", s.Attrs[j].Name, err)
+			}
+			t.oracles[j] = o
+		}
+		t.bits = freq.UsesBitset(t.oracles[catIdx[0]])
+	}
+	return t, nil
+}
+
+// Kind returns TaskJoint.
+func (t *JointTask) Kind() TaskKind { return TaskJoint }
+
+// Name returns "joint".
+func (t *JointTask) Name() string { return "joint" }
+
+// K returns the number of attributes each user reports.
+func (t *JointTask) K() int { return t.k }
+
+// Oracle returns the frequency oracle for schema attribute attr, or nil
+// if the attribute is numeric.
+func (t *JointTask) Oracle(attr int) freq.Oracle {
+	if attr < 0 || attr >= len(t.oracles) {
+		return nil
+	}
+	return t.oracles[attr]
+}
+
+// Randomize implements Task. It checks the tuple against the schema
+// itself, since no routing step has checked it first.
+func (t *JointTask) Randomize(tp schema.Tuple, r *rng.Rand) (Report, error) {
+	if err := tp.Check(t.sch); err != nil {
+		return Report{}, err
+	}
+	entries := make([]core.Entry, 0, t.k)
+	for _, j := range rng.SampleWithoutReplacement(r, t.sch.Dim(), t.k) {
+		if t.sch.Attrs[j].Kind == schema.Numeric {
+			entries = append(entries, core.Entry{
+				Attr:  j,
+				Kind:  core.EntryNumeric,
+				Value: t.scale * t.inner.Perturb(tp.Num[j], r),
+			})
+			continue
+		}
+		resp := t.oracles[j].Perturb(tp.Cat[j], r)
+		kind := core.EntryCategoricalBits
+		if resp.Bits == nil {
+			kind = core.EntryCategoricalValue
+		}
+		entries = append(entries, core.Entry{Attr: j, Kind: kind, Resp: resp})
+	}
+	return Report{Task: TaskJoint, Entries: entries}, nil
 }
 
 // RangeTask answers 1-D and 2-D range queries through the rangequery

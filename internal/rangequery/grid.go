@@ -68,7 +68,7 @@ func (c *GridCollector) Perturb(x, y float64, r *rng.Rand) freq.Response {
 
 // GridEstimator aggregates cell reports into a consistent joint histogram
 // and answers rectangle queries. It is not safe for concurrent use; use
-// one per goroutine and Merge (the top-level Aggregator adds locking).
+// one per goroutine and Merge.
 type GridEstimator struct {
 	col   *GridCollector
 	inner *freq.Estimator
@@ -97,15 +97,6 @@ func (e *GridEstimator) Add(resp freq.Response) error {
 
 // Merge combines another estimator built from the same collector.
 func (e *GridEstimator) Merge(o *GridEstimator) { e.inner.Merge(o.inner) }
-
-// clone deep-copies the estimator through the support counts (used by
-// Aggregator.Merge to snapshot without aliasing).
-func (e *GridEstimator) clone() *GridEstimator {
-	c := NewGridEstimator(e.col)
-	// Shapes match by construction; AddCounts cannot fail.
-	_ = c.inner.AddCounts(e.inner.Counts(), e.inner.N())
-	return c
-}
 
 // N returns the number of responses aggregated.
 func (e *GridEstimator) N() int64 { return e.inner.N() }

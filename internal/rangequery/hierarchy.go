@@ -140,7 +140,7 @@ func (c *HierCollector) Perturb(bucket int, r *rng.Rand) HierReport {
 
 // HierEstimator aggregates hierarchical reports and answers range queries
 // by dyadic decomposition. It is not safe for concurrent use; use one per
-// goroutine and Merge (the top-level Aggregator adds locking).
+// goroutine and Merge.
 type HierEstimator struct {
 	col    *HierCollector
 	levels []*freq.Estimator
@@ -204,17 +204,6 @@ func (e *HierEstimator) Merge(o *HierEstimator) {
 	for i := range e.levels {
 		e.levels[i].Merge(o.levels[i])
 	}
-}
-
-// clone deep-copies the estimator through the support counts (used by
-// Aggregator.Merge to snapshot without aliasing).
-func (e *HierEstimator) clone() *HierEstimator {
-	c := NewHierEstimator(e.col)
-	for i, l := range e.levels {
-		// Shapes match by construction; AddCounts cannot fail.
-		_ = c.levels[i].AddCounts(l.Counts(), l.N())
-	}
-	return c
 }
 
 // N returns the number of reports aggregated across all depths.

@@ -16,13 +16,12 @@
 // is routed to exactly one sub-task — a (attribute, depth) interval report
 // or an attribute-pair cell report — so each report consumes the full
 // budget eps, in the attribute-sampling spirit of the paper's Algorithm 4
-// and the RS+FD line. Aggregator is the matching server side; it is safe
-// for concurrent use.
+// and the RS+FD line. Accumulator is the matching server side; the
+// sharded pipeline guards one per shard.
 package rangequery
 
 import (
 	"fmt"
-	"sync"
 
 	"ldp/internal/freq"
 	"ldp/internal/rng"
@@ -182,7 +181,7 @@ func (c *Collector) Perturb(t schema.Tuple, r *rng.Rand) (Report, error) {
 // per-attribute hierarchies and per-pair grids of one aggregation domain.
 // It is not safe for concurrent use — callers provide their own locking
 // (the sharded pipeline guards one Accumulator per shard with the shard
-// lock; Aggregator wraps one in a mutex for standalone use).
+// lock).
 type Accumulator struct {
 	col   *Collector
 	n     int64
@@ -260,20 +259,6 @@ func (a *Accumulator) FoldValidated(rep Report) {
 	a.n++
 }
 
-// FoldBatch validates every report, then folds them all in: the batch
-// either folds completely or (on the first invalid report) not at all.
-func (a *Accumulator) FoldBatch(reps []Report) error {
-	for i, rep := range reps {
-		if err := a.Validate(rep); err != nil {
-			return fmt.Errorf("rangequery: report %d: %w", i, err)
-		}
-	}
-	for _, rep := range reps {
-		a.FoldValidated(rep)
-	}
-	return nil
-}
-
 // Merge folds another accumulator built from the same collector into this
 // one. The source is only read; the caller is responsible for excluding
 // concurrent writers on both sides.
@@ -285,22 +270,6 @@ func (a *Accumulator) Merge(o *Accumulator) {
 	for i, g := range a.grids {
 		g.Merge(o.grids[i])
 	}
-}
-
-// clone deep-copies the accumulator (Aggregator.Merge snapshots sources
-// with it so cross-merges cannot deadlock).
-func (a *Accumulator) clone() *Accumulator {
-	c := &Accumulator{col: a.col, n: a.n, hier: make(map[int]*HierEstimator, len(a.hier))}
-	for attr, est := range a.hier {
-		c.hier[attr] = est.clone()
-	}
-	if a.grids != nil {
-		c.grids = make([]*GridEstimator, len(a.grids))
-		for i, g := range a.grids {
-			c.grids[i] = g.clone()
-		}
-	}
-	return c
 }
 
 // Range1D estimates the fraction of users whose numeric attribute attr
@@ -350,115 +319,4 @@ func (a *Accumulator) GridFor(p int) *GridEstimator {
 		return nil
 	}
 	return a.grids[p]
-}
-
-// Aggregator is the concurrency-safe server-side estimator for range
-// reports: an Accumulator behind one mutex. The sharded pipeline bypasses
-// it and guards one Accumulator per shard with the shard lock instead.
-type Aggregator struct {
-	mu  sync.Mutex
-	acc *Accumulator
-}
-
-// NewAggregator creates an aggregator matching the collector's
-// configuration.
-func NewAggregator(c *Collector) *Aggregator {
-	return &Aggregator{acc: NewAccumulator(c)}
-}
-
-// Collector returns the collector configuration this aggregator matches.
-func (a *Aggregator) Collector() *Collector { return a.acc.col }
-
-// Schema returns the source schema.
-func (a *Aggregator) Schema() *schema.Schema { return a.acc.col.disc.src }
-
-// Validate checks a report against the aggregator's configuration without
-// mutating any state; it needs no lock (see Accumulator.Validate).
-func (a *Aggregator) Validate(rep Report) error { return a.acc.Validate(rep) }
-
-// Add validates and folds one report into the aggregate state.
-func (a *Aggregator) Add(rep Report) error {
-	if err := a.acc.Validate(rep); err != nil {
-		return err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.acc.FoldValidated(rep)
-	return nil
-}
-
-// FoldBatch validates every report without the lock, then folds the whole
-// batch under a single lock acquisition.
-func (a *Aggregator) FoldBatch(reps []Report) error {
-	for i, rep := range reps {
-		if err := a.acc.Validate(rep); err != nil {
-			return fmt.Errorf("rangequery: report %d: %w", i, err)
-		}
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, rep := range reps {
-		a.acc.FoldValidated(rep)
-	}
-	return nil
-}
-
-// N returns the number of reports received.
-func (a *Aggregator) N() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.acc.n
-}
-
-// Merge combines another aggregator built from the same collector. The
-// source is snapshotted under its own lock before this aggregator locks,
-// so concurrent cross-merges (and self-merges) cannot deadlock.
-func (a *Aggregator) Merge(o *Aggregator) {
-	o.mu.Lock()
-	snap := o.acc.clone()
-	o.mu.Unlock()
-
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.acc.Merge(snap)
-}
-
-// MergeAccumulator folds an unlocked accumulator's state in (the sharded
-// pipeline's snapshot path: the caller holds whatever lock guards acc).
-func (a *Aggregator) MergeAccumulator(acc *Accumulator) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.acc.Merge(acc)
-}
-
-// Range1D estimates the fraction of users whose numeric attribute attr
-// (schema index) lies in [lo, hi]; see Accumulator.Range1D.
-func (a *Aggregator) Range1D(attr int, lo, hi float64) (float64, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.acc.Range1D(attr, lo, hi)
-}
-
-// Range2D estimates the mass of a conjunctive 2-D range; see
-// Accumulator.Range2D.
-func (a *Aggregator) Range2D(ai, aj int, alo, ahi, blo, bhi float64) (float64, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.acc.Range2D(ai, aj, alo, ahi, blo, bhi)
-}
-
-// Hier returns the hierarchical estimator of numeric attribute attr
-// (schema index), or nil if the attribute has none.
-func (a *Aggregator) Hier(attr int) *HierEstimator {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.acc.hier[attr]
-}
-
-// GridFor returns the grid estimator of pair index p (see
-// Collector.Pairs), or nil when grids are disabled.
-func (a *Aggregator) GridFor(p int) *GridEstimator {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.acc.GridFor(p)
 }

@@ -129,7 +129,7 @@ func TestAggregatorRejectsBadReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewAggregator(c)
+	a := NewAccumulator(c)
 	if err := a.Add(Report{Kind: KindHier, Attr: 2, Depth: 1}); err == nil {
 		t.Error("want error for hier report on categorical attribute")
 	}
@@ -162,7 +162,7 @@ func TestAggregatorRejectsBadReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ng := NewAggregator(noGrid)
+	ng := NewAccumulator(noGrid)
 	if err := ng.Add(Report{Kind: KindGrid, Pair: 0}); err == nil {
 		t.Error("want error for grid report when grids are disabled")
 	}
@@ -171,11 +171,11 @@ func TestAggregatorRejectsBadReports(t *testing.T) {
 	}
 }
 
-// endToEnd simulates a population through the full collector/aggregator
-// path and returns the aggregator plus the raw values for ground truth.
-func endToEnd(t *testing.T, s *schema.Schema, c *Collector, n int, seed uint64) (*Aggregator, [][2]float64) {
+// endToEnd simulates a population through the full collector/accumulator
+// path and returns the accumulator plus the raw values for ground truth.
+func endToEnd(t *testing.T, s *schema.Schema, c *Collector, n int, seed uint64) (*Accumulator, [][2]float64) {
 	t.Helper()
-	agg := NewAggregator(c)
+	agg := NewAccumulator(c)
 	vals := make([][2]float64, n)
 	for i := 0; i < n; i++ {
 		r := rng.NewStream(seed, uint64(i))
@@ -270,7 +270,7 @@ func TestAggregatorMerge(t *testing.T) {
 	}
 	a, _ := endToEnd(t, s, c, 6000, 21)
 	b, _ := endToEnd(t, s, c, 4000, 22)
-	merged := NewAggregator(c)
+	merged := NewAccumulator(c)
 	merged.Merge(a)
 	merged.Merge(b)
 	if merged.N() != 10_000 {
@@ -282,114 +282,5 @@ func TestAggregatorMerge(t *testing.T) {
 	}
 	if math.Abs(got-1) > 0.25 {
 		t.Errorf("merged full-domain mass %.4f, want ~1", got)
-	}
-}
-
-// TestMergeNoDeadlock exercises the lock-ordering hazards: concurrent
-// cross-merges of two aggregators and a self-merge. A regression hangs
-// the test until its timeout.
-func TestMergeNoDeadlock(t *testing.T) {
-	s := twoNumSchema(t)
-	c, err := NewCollector(s, 1, Config{Buckets: 16, GridCells: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := endToEnd(t, s, c, 200, 31)
-	b, _ := endToEnd(t, s, c, 300, 32)
-	done := make(chan struct{}, 2)
-	go func() {
-		for i := 0; i < 50; i++ {
-			a.Merge(b)
-		}
-		done <- struct{}{}
-	}()
-	go func() {
-		for i := 0; i < 50; i++ {
-			b.Merge(a)
-		}
-		done <- struct{}{}
-	}()
-	<-done
-	<-done
-
-	self, _ := endToEnd(t, s, c, 100, 33)
-	n := self.N()
-	self.Merge(self) // must not deadlock
-	if self.N() != 2*n {
-		t.Errorf("self-merge N = %d, want %d", self.N(), 2*n)
-	}
-}
-
-// TestFoldBatch: the batch entry points fold exactly like per-report Add,
-// and one invalid report rejects the whole batch before any state change.
-func TestFoldBatch(t *testing.T) {
-	s := twoNumSchema(t)
-	c, err := NewCollector(s, 1, Config{Buckets: 32, GridCells: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reps []Report
-	for i := 0; i < 400; i++ {
-		r := rng.NewStream(41, uint64(i))
-		tp := schema.NewTuple(s)
-		tp.Num[0] = rng.TruncGauss(r, 0.1, 0.4, -1, 1)
-		tp.Num[1] = rng.TruncGauss(r, -0.2, 0.5, -1, 1)
-		tp.Cat[2] = r.IntN(5)
-		rep, err := c.Perturb(tp, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reps = append(reps, rep)
-	}
-
-	one, batch := NewAggregator(c), NewAggregator(c)
-	for _, rep := range reps {
-		if err := one.Add(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := batch.FoldBatch(reps); err != nil {
-		t.Fatal(err)
-	}
-	if one.N() != batch.N() {
-		t.Fatalf("N %d != %d", batch.N(), one.N())
-	}
-	for _, span := range [][2]float64{{-1, 1}, {-0.5, 0.5}, {0, 0.9}} {
-		a, err := one.Range1D(0, span[0], span[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := batch.Range1D(0, span[0], span[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("Range1D%v: %v != %v", span, b, a)
-		}
-	}
-
-	// A bad report anywhere rejects the batch atomically.
-	bad := append(append([]Report{}, reps[:3]...), Report{Kind: KindHier, Attr: 0, Depth: 99})
-	fresh := NewAggregator(c)
-	if err := fresh.FoldBatch(bad); err == nil {
-		t.Fatal("FoldBatch accepted an invalid depth")
-	}
-	if fresh.N() != 0 {
-		t.Fatalf("rejected batch still folded %d reports", fresh.N())
-	}
-
-	// The unlocked Accumulator batch path behaves identically.
-	acc := NewAccumulator(c)
-	if err := acc.FoldBatch(reps); err != nil {
-		t.Fatal(err)
-	}
-	if acc.N() != one.N() {
-		t.Fatalf("accumulator N %d != %d", acc.N(), one.N())
-	}
-	if err := acc.FoldBatch(bad); err == nil {
-		t.Fatal("Accumulator.FoldBatch accepted an invalid depth")
-	}
-	if acc.N() != one.N() {
-		t.Fatal("rejected batch changed accumulator state")
 	}
 }

@@ -12,8 +12,7 @@ import (
 // at construction. Range1D and Range2D are pure lookups — no locks, no
 // estimator rebuild, no allocation — so one View can serve an arbitrary
 // number of concurrent queries at the cost of a single precomputation per
-// aggregation epoch. Build one with Accumulator.View (the sharded
-// pipeline's snapshot path) or Aggregator.View.
+// aggregation epoch. Build one with Accumulator.View.
 type View struct {
 	col   *Collector
 	n     int64
@@ -23,7 +22,7 @@ type View struct {
 
 // View snapshots the accumulator's estimates into an immutable query view.
 // The caller must exclude concurrent folds for the duration of the call
-// (the pipeline holds its shard locks; Aggregator.View locks).
+// (the pipeline holds its shard locks).
 func (a *Accumulator) View() *View {
 	v := &View{col: a.col, n: a.n, hier: make([]*HierView, a.col.disc.src.Dim())}
 	for attr, est := range a.hier {
@@ -80,14 +79,6 @@ func (a *Accumulator) ViewWith(workers int) *View {
 	}
 	wg.Wait()
 	return v
-}
-
-// View snapshots the aggregator's current state into an immutable query
-// view under the aggregator lock.
-func (a *Aggregator) View() *View {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.acc.View()
 }
 
 // Collector returns the collector configuration the view was built from.

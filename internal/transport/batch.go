@@ -16,11 +16,10 @@ import (
 // batch whose buffers have grown to the working-set size) decoding a
 // frame allocates nothing.
 
-// DecodeBatch appends every report frame in body (any format
-// DecodeEnvelope accepts, freely mixed) to the batch and returns the
-// number of frames decoded. On error the batch keeps the frames decoded
-// before the failing one; the error says which frame failed. Callers
-// bound body themselves (the HTTP server enforces MaxBatchSize).
+// DecodeBatch appends every report frame in body to the batch and returns
+// the number of frames decoded. On error the batch keeps the frames
+// decoded before the failing one; the error says which frame failed.
+// Callers bound body themselves (the HTTP server enforces MaxBatchSize).
 func DecodeBatch(body []byte, b *pipeline.ReportBatch) (int, error) {
 	n := 0
 	for off := 0; off < len(body); {
@@ -42,48 +41,35 @@ func DecodeBatch(body []byte, b *pipeline.ReportBatch) (int, error) {
 	return n, nil
 }
 
-// decodeFrameInto decodes one frame (v2 envelope or either legacy v1
-// format) into the batch. On error the caller rolls the batch back to its
-// mark.
+// decodeFrameInto decodes one envelope frame into the batch. On error the
+// caller rolls the batch back to its mark.
 func decodeFrameInto(frame []byte, b *pipeline.ReportBatch) error {
-	version, payload, err := parseFrame(frame)
+	payload, err := parseFrame(frame)
 	if err != nil {
 		return err
 	}
-	switch {
-	case frameMagicIs(frame, wireMagic) && version == wireEnvelopeVersion:
-		if len(payload) < 1 {
-			return ErrTruncated
-		}
-		tag, body := payload[0], payload[1:]
-		switch tag {
-		case envTaskMean:
-			return decodeEntriesInto(body, pipeline.TaskMean, b)
-		case envTaskFreq:
-			return decodeEntriesInto(body, pipeline.TaskFreq, b)
-		case envTaskJoint:
-			return decodeEntriesInto(body, pipeline.TaskJoint, b)
-		case envTaskRange:
-			return decodeRangeReportInto(body, b)
-		case envTaskGradient:
-			return decodeGradientInto(body, b)
-		default:
-			return fmt.Errorf("transport: unknown envelope task tag %d", tag)
-		}
-	case frameMagicIs(frame, wireMagic) && version == wireVersion:
-		return decodeEntriesInto(payload, pipeline.TaskJoint, b)
-	case frameMagicIs(frame, wireRangeMagic) && version == wireRangeVersion:
-		return decodeRangeReportInto(payload, b)
-	case frameMagicIs(frame, wireMagic) || frameMagicIs(frame, wireRangeMagic):
-		return fmt.Errorf("%w: %d", ErrBadVersion, version)
+	if len(payload) < 1 {
+		return ErrTruncated
+	}
+	tag, body := payload[0], payload[1:]
+	switch tag {
+	case envTaskMean:
+		return decodeEntriesInto(body, pipeline.TaskMean, b)
+	case envTaskFreq:
+		return decodeEntriesInto(body, pipeline.TaskFreq, b)
+	case envTaskJoint:
+		return decodeEntriesInto(body, pipeline.TaskJoint, b)
+	case envTaskRange:
+		return decodeRangeReportInto(body, b)
+	case envTaskGradient:
+		return decodeGradientInto(body, b)
 	default:
-		return ErrBadMagic
+		return fmt.Errorf("transport: unknown envelope task tag %d", tag)
 	}
 }
 
 // decodeEntriesInto parses the entry-list payload encoding (see
-// appendEntries) straight into the batch columns. It mirrors
-// decodeEntries entry for entry but allocates nothing.
+// appendEntries) straight into the batch columns, allocating nothing.
 func decodeEntriesInto(payload []byte, task pipeline.TaskKind, b *pipeline.ReportBatch) error {
 	pos := 0
 	count, n := binary.Uvarint(payload)
@@ -154,8 +140,7 @@ func decodeEntriesInto(payload []byte, task pipeline.TaskKind, b *pipeline.Repor
 }
 
 // decodeRangeReportInto parses the range-report payload encoding (see
-// appendRangeReport) straight into the batch columns, mirroring
-// decodeRangeReport without allocating.
+// appendRangeReport) straight into the batch columns, allocating nothing.
 func decodeRangeReportInto(payload []byte, b *pipeline.ReportBatch) error {
 	if len(payload) < 1 {
 		return ErrTruncated

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"ldp/internal/core"
@@ -52,8 +53,10 @@ func TestDecodeBatchMatchesDecodeEnvelope(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchMixedVersions: legacy v1 report frames (TaskJoint) and
-// v1 range frames (TaskRange) decode in the same batch as v2 envelopes.
+// TestDecodeBatchMixedVersions: a retired v1 frame after a v2 envelope
+// fails the batch at that frame — a v1 report frame with ErrBadVersion, a
+// v1 range frame with ErrBadMagic — and the batch rolls back to the
+// frames decoded before it.
 func TestDecodeBatchMixedVersions(t *testing.T) {
 	p := newTestPipeline(t)
 	reps := samplePipelineReports(t, p, 6)
@@ -69,30 +72,26 @@ func TestDecodeBatchMixedVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyJoint := encodeLegacyReportFrame(t, reps)
-	legacyRange := EncodeRangeReport(rangeRep.Range)
-
-	var body []byte
-	body = append(body, v2...)
-	body = append(body, legacyJoint...)
-	body = append(body, legacyRange...)
-
-	b := pipeline.NewReportBatch()
-	n, err := DecodeBatch(body, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 || b.Len() != 3 {
-		t.Fatalf("decoded %d frames into %d reports, want 3", n, b.Len())
-	}
-	if got := b.Report(0); !pipelineReportsEqual(reps[0], got) {
-		t.Fatal("v2 frame changed through batch decode")
-	}
-	if got := b.Task(1); got != pipeline.TaskJoint {
-		t.Fatalf("legacy v1 report frame decoded as %v, want joint", got)
-	}
-	if got := b.Report(2); got.Task != pipeline.TaskRange || !pipelineReportsEqual(pipeline.Report{Task: pipeline.TaskRange, Range: rangeRep.Range}, got) {
-		t.Fatal("legacy v1 range frame changed through batch decode")
+	for _, tc := range []struct {
+		name   string
+		legacy []byte
+		want   error
+	}{
+		{"v1 report", encodeLegacyReportFrame(t, reps), ErrBadVersion},
+		{"v1 range", legacyRangeFrame(rangeRep.Range), ErrBadMagic},
+	} {
+		body := append(append(append([]byte(nil), v2...), tc.legacy...), v2...)
+		b := pipeline.NewReportBatch()
+		n, err := DecodeBatch(body, b)
+		if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), "frame 1:") {
+			t.Fatalf("%s: DecodeBatch error %v, want %v at frame 1", tc.name, err, tc.want)
+		}
+		if n != 1 || b.Len() != 1 {
+			t.Fatalf("%s: kept %d frames (batch len %d), want the 1 before it", tc.name, n, b.Len())
+		}
+		if got := b.Report(0); !pipelineReportsEqual(reps[0], got) {
+			t.Fatalf("%s: v2 frame changed through batch decode", tc.name)
+		}
 	}
 }
 
@@ -102,7 +101,7 @@ func encodeLegacyReportFrame(t *testing.T, reps []pipeline.Report) []byte {
 	t.Helper()
 	for _, rep := range reps {
 		if len(rep.Entries) > 0 {
-			return encodeFrame(wireMagic, wireVersion, appendEntries(nil, rep.Entries))
+			return legacyReportFrame(rep.Entries)
 		}
 	}
 	t.Fatal("no entry-list report sampled")
@@ -257,13 +256,14 @@ func TestDecodeBatchRejectsImplausibleAttr(t *testing.T) {
 // response with 0 words can never validate (every oracle domain needs at
 // least one word) and the batch columns cannot represent it without
 // conflating it with a value response — both decoders must reject it at
-// the boundary.
+// the boundary. (The retired v1 range frame carrying it is rejected
+// outright.)
 func TestDecodeRejectsEmptyBitsResponse(t *testing.T) {
 	// kind=hier attr=0 depth=1, respBits with words=0.
 	payload := []byte{rangeKindHier, 0, 1, respBits, 0}
 	for _, frame := range [][]byte{
-		encodeFrame(wireRangeMagic, wireRangeVersion, payload),
-		encodeFrame(wireMagic, wireEnvelopeVersion, append([]byte{envTaskRange}, payload...)),
+		rawFrame("LDPQ\x01", payload),
+		envelopeFrame(append([]byte{envTaskRange}, payload...)),
 	} {
 		if _, err := DecodeEnvelope(frame); err == nil {
 			t.Error("DecodeEnvelope accepted a 0-word bits response")
@@ -276,11 +276,12 @@ func TestDecodeRejectsEmptyBitsResponse(t *testing.T) {
 	// Same for a 0-word bitset entry in an entry-list report:
 	// count=1 attr=0 kind=catBits words=0.
 	entries := []byte{1, 0, entryCatBits, 0}
-	frame := encodeFrame(wireMagic, wireEnvelopeVersion, append([]byte{envTaskFreq}, entries...))
-	if _, err := DecodeEnvelope(frame); err == nil {
-		t.Error("DecodeEnvelope accepted a 0-word bitset entry")
-	}
-	if _, err := DecodeReport(encodeFrame(wireMagic, wireVersion, entries)); err == nil {
-		t.Error("DecodeReport accepted a 0-word bitset entry")
+	for _, frame := range [][]byte{
+		envelopeFrame(append([]byte{envTaskFreq}, entries...)),
+		rawFrame("LDPR\x01", entries),
+	} {
+		if _, err := DecodeEnvelope(frame); err == nil {
+			t.Error("DecodeEnvelope accepted a 0-word bitset entry")
+		}
 	}
 }

@@ -8,19 +8,18 @@ import (
 	"ldp/internal/pipeline"
 )
 
-// The unified envelope (version 2) multiplexes every task's payload
-// through one frame format:
+// The envelope (version 2) is the one report wire format; it multiplexes
+// every task's payload through one frame:
 //
 //	magic(4)="LDPR" version(1)=2 payloadLen(u32) payload crc32(u32)
 //	payload = taskTag(1) taskBody
 //
-// Task bodies reuse the v1 payload encodings: mean/freq/joint bodies are
-// entry lists (see appendEntries), range bodies are range-report payloads
-// (see appendRangeReport), and gradient bodies carry a round tag plus a
-// coordinate list (see appendGradient). The decoder rejects unknown versions and task
-// tags, and still accepts both legacy v1 formats — a v1 "LDPR" frame
-// decodes as a TaskJoint report and a v1 "LDPQ" frame as a TaskRange
-// report — so report logs and in-flight clients survive the migration.
+// Mean/freq/joint bodies are entry lists (see appendEntries), range
+// bodies are range-report payloads (see appendRangeReport), and gradient
+// bodies carry a round tag plus a coordinate list (see appendGradient).
+// The decoder rejects unknown magics, versions, and task tags; the retired
+// version-1 frames (an untagged entry list under "LDPR", and range reports
+// under their own magic) no longer decode.
 const (
 	wireEnvelopeVersion = 2
 
@@ -66,10 +65,9 @@ func AppendEnvelope(dst []byte, rep pipeline.Report) ([]byte, error) {
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[payloadStart:])), nil
 }
 
-// DecodeEnvelope parses any report frame the system has ever produced into
-// a unified report: v2 envelopes, legacy v1 report frames (as TaskJoint),
-// and legacy v1 range frames (as TaskRange). Unknown magics, versions, and
-// task tags are errors; malformed frames never panic.
+// DecodeEnvelope parses one envelope frame into a unified report. Unknown
+// magics, versions, and task tags are errors (ErrBadMagic, ErrBadVersion);
+// malformed frames never panic.
 //
 // It is a materializing wrapper over the columnar batch decoder — one
 // decode implementation serves both paths, so they cannot drift apart in
@@ -120,12 +118,12 @@ func SplitFrames(buf []byte) ([][]byte, error) {
 // columnar batch before a flush into the pipeline.
 const replayBatchSize = 1024
 
-// ReplayPipeline rebuilds pipeline state from persisted frames (any
-// format DecodeEnvelope accepts), e.g. at server startup with
-// reportlog.Replay. Frames are decoded into a pooled columnar batch and
-// folded in replayBatchSize chunks through Pipeline.AddBatch, so replaying
-// a large log runs at batch-ingest speed. It returns the number of frames
-// decoded; on error, frames of the failing chunk may not have been folded.
+// ReplayPipeline rebuilds pipeline state from persisted envelope frames,
+// e.g. at server startup with reportlog.Replay. Frames are decoded into a
+// pooled columnar batch and folded in replayBatchSize chunks through
+// Pipeline.AddBatch, so replaying a large log runs at batch-ingest speed.
+// It returns the number of frames decoded; on error, frames of the
+// failing chunk may not have been folded.
 func ReplayPipeline(p *pipeline.Pipeline, frames func(fn func(payload []byte) error) error) (int, error) {
 	b := pipeline.GetBatch()
 	defer pipeline.PutBatch(b)

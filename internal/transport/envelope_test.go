@@ -3,7 +3,9 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -99,6 +101,44 @@ func bitsBytes(bits []uint64) []byte {
 	return out
 }
 
+// rawFrame frames a payload under a 5-byte magic-plus-version header, in
+// the layout every frame version shares:
+//
+//	magic(4) version(1) payloadLen(u32) payload crc32(u32)
+func rawFrame(header string, payload []byte) []byte {
+	frame := append([]byte(header), 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(frame[5:], uint32(len(payload)))
+	frame = append(frame, payload...)
+	return binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+}
+
+// legacyReportFrame encodes entries as a retired v1 report frame: an
+// untagged entry list under "LDPR" version 1.
+func legacyReportFrame(entries []core.Entry) []byte {
+	return rawFrame("LDPR\x01", appendEntries(nil, entries))
+}
+
+// legacyRangeFrame encodes a range report as a retired v1 range frame,
+// which carried the range body under its own magic.
+func legacyRangeFrame(rep rangequery.Report) []byte {
+	return rawFrame("LDPQ\x01", appendRangeReport(nil, rep))
+}
+
+// envelopeFrame wraps a raw task-tagged payload in a v2 envelope: valid
+// framing around whatever body the test needs.
+func envelopeFrame(payload []byte) []byte {
+	return rawFrame("LDPR\x02", payload)
+}
+
+func mustEnvelope(t testing.TB, rep pipeline.Report) []byte {
+	t.Helper()
+	frame, err := EncodeEnvelope(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
 func TestEnvelopeRoundTrip(t *testing.T) {
 	p := newTestPipeline(t)
 	for _, rep := range samplePipelineReports(t, p, 1) {
@@ -115,59 +155,63 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Joint reports (legacy payloads re-wrapped) also round-trip.
-	joint := pipeline.Report{Task: pipeline.TaskJoint, Entries: samplePipelineReports(t, p, 2)[0].Entries}
-	if joint.Entries == nil {
-		t.Skip("first sampled report was a range report")
-	}
-	frame, err := EncodeEnvelope(joint)
+	// Joint-task reports (never routed) round-trip too.
+	r := rng.New(2)
+	joint, err := p.JointTask().Randomize(randomTuple(p.Schema(), r), r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeEnvelope(frame)
+	got, err := DecodeEnvelope(mustEnvelope(t, joint))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Task != pipeline.TaskJoint {
+	if got.Task != pipeline.TaskJoint || !pipelineReportsEqual(joint, got) {
 		t.Fatalf("joint report decoded as %v", got.Task)
 	}
 }
 
+// TestEnvelopeLegacyDecode: the retired version-1 frames no longer decode.
+// A v1 report frame fails with ErrBadVersion and a v1 range frame with
+// ErrBadMagic, through DecodeEnvelope and through ReplayPipeline, so a
+// report log holding v1 frames stops replay at the first one.
 func TestEnvelopeLegacyDecode(t *testing.T) {
-	// A legacy v1 report frame decodes as a joint report.
-	s := pipelineSchema(t)
-	col, err := core.NewCollector(s, 2, pmFactory, oueFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newTestPipeline(t)
 	r := rng.New(3)
-	rep, err := col.Perturb(randomTuple(s, r), r)
+	joint, err := p.JointTask().Randomize(randomTuple(p.Schema(), r), r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeEnvelope(EncodeReport(rep))
-	if err != nil {
-		t.Fatal(err)
+	var rangeRep pipeline.Report
+	for _, rep := range samplePipelineReports(t, p, 3) {
+		if rep.Task == pipeline.TaskRange {
+			rangeRep = rep
+			break
+		}
 	}
-	if got.Task != pipeline.TaskJoint || len(got.Entries) != len(rep.Entries) {
-		t.Fatalf("legacy report frame decoded as %v with %d entries", got.Task, len(got.Entries))
-	}
-
-	// A legacy v1 range frame decodes as a range report.
-	rcol, err := rangequery.NewCollector(s, 1, rangequery.Config{Buckets: 32, GridCells: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rrep, err := rcol.Perturb(randomTuple(s, r), r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rgot, err := DecodeEnvelope(EncodeRangeReport(rrep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rgot.Task != pipeline.TaskRange || rgot.Range.Kind != rrep.Kind {
-		t.Fatalf("legacy range frame decoded as %v", rgot.Task)
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		want  error
+	}{
+		{"v1 report", legacyReportFrame(joint.Entries), ErrBadVersion},
+		{"v1 range", legacyRangeFrame(rangeRep.Range), ErrBadMagic},
+	} {
+		if _, err := DecodeEnvelope(tc.frame); !errors.Is(err, tc.want) {
+			t.Errorf("%s: DecodeEnvelope error %v, want %v", tc.name, err, tc.want)
+		}
+		fresh := newTestPipeline(t)
+		log := [][]byte{mustEnvelope(t, joint), tc.frame, mustEnvelope(t, joint)}
+		n, err := ReplayPipeline(fresh, func(fn func([]byte) error) error {
+			for _, f := range log {
+				if err := fn(f); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if !errors.Is(err, tc.want) || n != 1 {
+			t.Errorf("%s: ReplayPipeline = %d, %v; want 1, %v", tc.name, n, err, tc.want)
+		}
 	}
 }
 
@@ -197,7 +241,7 @@ func TestEnvelopeRejectsMalformed(t *testing.T) {
 		t.Errorf("corrupt payload: got %v", err)
 	}
 	// Unknown task tag: rebuild a valid frame whose payload starts with 99.
-	tag := encodeFrame(wireMagic, wireEnvelopeVersion, []byte{99, 0})
+	tag := envelopeFrame([]byte{99, 0})
 	if _, err := DecodeEnvelope(tag); err == nil {
 		t.Error("unknown task tag accepted")
 	}
@@ -264,17 +308,16 @@ func TestPipelineServerEndToEnd(t *testing.T) {
 		t.Fatalf("server ingested %d reports, want 51", got)
 	}
 
-	// Legacy v1 clients keep working against the unified route.
-	col, err := core.NewCollector(s, 2, pmFactory, oueFactory)
+	// Joint-task reports share the route.
+	joint, err := p.JointTask().Randomize(randomTuple(s, r), r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := NewClient(srv.URL, col, srv.Client())
-	if err := legacy.SendTuple(randomTuple(s, r), r); err != nil {
+	if err := client.SendReport(ctx, joint); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.N(); got != 52 {
-		t.Fatalf("after legacy submit N = %d, want 52", got)
+		t.Fatalf("after joint submit N = %d, want 52", got)
 	}
 
 	// The query route answers every kind.

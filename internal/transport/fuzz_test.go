@@ -3,7 +3,6 @@ package transport
 import (
 	"testing"
 
-	"ldp/internal/core"
 	"ldp/internal/freq"
 	"ldp/internal/pipeline"
 	"ldp/internal/rangequery"
@@ -16,9 +15,14 @@ import (
 // out-of-bounds read. The fuzz targets also pin the round-trip property
 // for frames that do decode after mutation of valid seeds.
 
+// FuzzDecodeReport drives the decoder of Algorithm-4 joint reports (the
+// facade's DecodeReport) with the retired v1 report frames — which must
+// never decode again — and with their v2 envelope equivalents, plus
+// mutations of both. Whatever decodes must re-encode and decode to the
+// same report.
 func FuzzDecodeReport(f *testing.F) {
-	// Valid frames (OUE bitsets, GRR values, numeric entries) seed the
-	// corpus, plus edge cases the unit tests care about.
+	// Joint reports (OUE bitsets, GRR values, numeric entries) seed the
+	// corpus, first as v1 frames, then as envelopes.
 	s, err := schema.New(
 		schema.Attribute{Name: "x", Kind: schema.Numeric},
 		schema.Attribute{Name: "c", Kind: schema.Categorical, Cardinality: 70},
@@ -26,11 +30,9 @@ func FuzzDecodeReport(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, oracle := range []freq.Factory{
-		func(e float64, k int) (freq.Oracle, error) { return freq.NewOUE(e, k) },
-		func(e float64, k int) (freq.Oracle, error) { return freq.NewGRR(e, k) },
-	} {
-		col, err := core.NewCollector(s, 8, pmFactory, oracle) // k large: all attrs sampled
+	var reps []pipeline.Report
+	for _, oracle := range []freq.Factory{oueFactory, grrFactory} {
+		p, err := pipeline.New(s, 8, pipeline.WithMechanism(pmFactory), pipeline.WithOracle(oracle)) // k large: all attrs sampled
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -39,38 +41,54 @@ func FuzzDecodeReport(f *testing.F) {
 			tup := schema.NewTuple(s)
 			tup.Num[0] = rng.Uniform(r, -1, 1)
 			tup.Cat[1] = r.IntN(70)
-			rep, err := col.Perturb(tup, r)
+			rep, err := p.JointTask().Randomize(tup, r)
 			if err != nil {
 				f.Fatal(err)
 			}
-			f.Add(EncodeReport(rep))
+			reps = append(reps, rep)
+			f.Add(legacyReportFrame(rep.Entries))
 		}
 	}
 	f.Add([]byte{})
 	f.Add([]byte("LDPR"))
 	f.Add([]byte("LDPR\x01\x00\x00\x00\x00"))
+	for _, rep := range reps {
+		frame, err := EncodeEnvelope(rep)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		rep, err := DecodeReport(frame)
+		rep, err := DecodeEnvelope(frame)
 		if err != nil {
 			return
 		}
-		// Whatever decodes must re-encode and decode to the same frame.
-		again, err := DecodeReport(EncodeReport(rep))
+		if frame[4] != wireEnvelopeVersion {
+			t.Fatalf("decoded a version-%d frame", frame[4])
+		}
+		// Whatever decodes must re-encode and decode to the same report.
+		again, err := EncodeEnvelope(rep)
+		if err != nil {
+			t.Fatalf("re-encode of valid report failed: %v", err)
+		}
+		rep2, err := DecodeEnvelope(again)
 		if err != nil {
 			t.Fatalf("re-decode of valid report failed: %v", err)
 		}
-		if len(again.Entries) != len(rep.Entries) {
-			t.Fatalf("round trip changed entry count: %d != %d", len(again.Entries), len(rep.Entries))
+		if !pipelineReportsEqual(rep, rep2) {
+			t.Fatal("round trip changed the report")
 		}
 	})
 }
 
-// FuzzDecodeEnvelope drives the unified decoder with every frame family
-// it accepts — v2 envelopes of all task tags plus both legacy v1 formats —
-// and with mutations of them. Malformed version bytes, task tags, and
-// payloads must come back as errors, never panics; whatever decodes must
-// survive an encode/decode round trip with its task tag intact.
+// FuzzDecodeEnvelope drives the envelope decoder with v2 envelopes of
+// every routed task tag, with both retired v1 formats (which must never
+// decode), and with mutations of them. Malformed magics, version bytes,
+// task tags, and payloads must come back as errors, never panics;
+// whatever decodes must survive an encode/decode round trip with its task
+// tag intact.
 func FuzzDecodeEnvelope(f *testing.F) {
 	s, err := schema.New(
 		schema.Attribute{Name: "x", Kind: schema.Numeric},
@@ -100,9 +118,9 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		}
 		f.Add(frame)
 	}
-	// Legacy v1 seeds: the envelope decoder accepts both formats.
-	col, err := core.NewCollector(s, 8, pmFactory,
-		func(e float64, k int) (freq.Oracle, error) { return freq.NewOUE(e, k) })
+	// Retired v1 seeds: report frames from the joint task and range
+	// frames.
+	joint, err := pipeline.New(s, 8, pipeline.WithMechanism(pmFactory))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -110,11 +128,11 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		tup := schema.NewTuple(s)
 		tup.Num[0] = rng.Uniform(r, -1, 1)
 		tup.Cat[2] = r.IntN(70)
-		rep, err := col.Perturb(tup, r)
+		rep, err := joint.JointTask().Randomize(tup, r)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(EncodeReport(rep))
+		f.Add(legacyReportFrame(rep.Entries))
 	}
 	rcol, err := rangequery.NewCollector(s, 1, rangequery.Config{Buckets: 32, GridCells: 4})
 	if err != nil {
@@ -128,7 +146,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(EncodeRangeReport(rep))
+		f.Add(legacyRangeFrame(rep))
 	}
 	f.Add([]byte{})
 	f.Add([]byte("LDPR"))
@@ -139,6 +157,9 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		rep, err := DecodeEnvelope(frame)
 		if err != nil {
 			return
+		}
+		if string(frame[:4]) != wireMagic || frame[4] != wireEnvelopeVersion {
+			t.Fatalf("decoded a %q version-%d frame", frame[:4], frame[4])
 		}
 		again, err := EncodeEnvelope(rep)
 		if err != nil {
@@ -155,6 +176,11 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	})
 }
 
+// FuzzDecodeRangeReport drives the envelope decoder with range reports:
+// the retired v1 range frames from two range configurations — which must
+// never decode again — their v2 envelope equivalents, and mutations of
+// both. Whatever decodes must re-encode and decode with its range header
+// intact.
 func FuzzDecodeRangeReport(f *testing.F) {
 	s, err := schema.New(
 		schema.Attribute{Name: "x", Kind: schema.Numeric},
@@ -163,10 +189,10 @@ func FuzzDecodeRangeReport(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	grr := func(e float64, k int) (freq.Oracle, error) { return freq.NewGRR(e, k) }
+	var reps []pipeline.Report
 	for _, cfg := range []rangequery.Config{
 		{Buckets: 32, GridCells: 4},
-		{Buckets: 16, GridCells: 2, Oracle: grr},
+		{Buckets: 16, GridCells: 2, Oracle: grrFactory},
 	} {
 		col, err := rangequery.NewCollector(s, 1, cfg)
 		if err != nil {
@@ -180,25 +206,40 @@ func FuzzDecodeRangeReport(f *testing.F) {
 			if err != nil {
 				f.Fatal(err)
 			}
-			f.Add(EncodeRangeReport(rep))
+			f.Add(legacyRangeFrame(rep))
+			reps = append(reps, pipeline.Report{Task: pipeline.TaskRange, Range: rep})
 		}
 	}
 	f.Add([]byte{})
 	f.Add([]byte("LDPQ"))
 	f.Add([]byte("LDPQ\x01\x00\x00\x00\x00"))
+	for _, rep := range reps {
+		frame, err := EncodeEnvelope(rep)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		rep, err := DecodeRangeReport(frame)
+		rep, err := DecodeEnvelope(frame)
 		if err != nil {
 			return
 		}
-		again, err := DecodeRangeReport(EncodeRangeReport(rep))
-		if err != nil {
-			t.Fatalf("re-decode of valid range report failed: %v", err)
+		if string(frame[:4]) != wireMagic || frame[4] != wireEnvelopeVersion {
+			t.Fatalf("decoded a %q version-%d frame", frame[:4], frame[4])
 		}
-		if again.Kind != rep.Kind || again.Attr != rep.Attr ||
-			again.Depth != rep.Depth || again.Pair != rep.Pair {
-			t.Fatalf("round trip changed header: %+v != %+v", again, rep)
+		again, err := EncodeEnvelope(rep)
+		if err != nil {
+			t.Fatalf("re-encode of valid report failed: %v", err)
+		}
+		rep2, err := DecodeEnvelope(again)
+		if err != nil {
+			t.Fatalf("re-decode of valid report failed: %v", err)
+		}
+		if rep2.Task != rep.Task || rep2.Range.Kind != rep.Range.Kind || rep2.Range.Attr != rep.Range.Attr ||
+			rep2.Range.Depth != rep.Range.Depth || rep2.Range.Pair != rep.Range.Pair {
+			t.Fatalf("round trip changed header: %+v != %+v", rep2, rep)
 		}
 	})
 }

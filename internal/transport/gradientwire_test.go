@@ -96,7 +96,7 @@ func TestDecodeGradientWireBounds(t *testing.T) {
 	}
 	for name, payload := range cases {
 		t.Run(name, func(t *testing.T) {
-			frame := encodeFrame(wireMagic, wireEnvelopeVersion, payload)
+			frame := envelopeFrame(payload)
 			if _, err := DecodeEnvelope(frame); err == nil {
 				t.Error("DecodeEnvelope accepted it")
 			}
@@ -108,7 +108,7 @@ func TestDecodeGradientWireBounds(t *testing.T) {
 	}
 	// A round at exactly the wire bound decodes (the pipeline's own
 	// validator enforces the real training horizon).
-	frame := encodeFrame(wireMagic, wireEnvelopeVersion, gradientPayload(maxWireRound, []uint64{0}, []float64{0.5}))
+	frame := envelopeFrame(gradientPayload(maxWireRound, []uint64{0}, []float64{0.5}))
 	if _, err := DecodeEnvelope(frame); err != nil {
 		t.Errorf("round at the wire bound rejected: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestDecodeBatchGradientRollback(t *testing.T) {
 	pl = binary.AppendUvarint(pl, 2) // claims 2 coords
 	pl = binary.AppendUvarint(pl, 1)
 	pl = binary.LittleEndian.AppendUint64(pl, math.Float64bits(0.25))
-	bad := encodeFrame(wireMagic, wireEnvelopeVersion, pl)
+	bad := envelopeFrame(pl)
 
 	body := append(append([]byte{}, f0...), bad...)
 	b := pipeline.NewReportBatch()

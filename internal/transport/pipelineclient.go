@@ -53,17 +53,6 @@ func WithTimeout(d time.Duration) ClientOption {
 	return func(c *clientConfig) { c.timeout = d }
 }
 
-// ResolveClientOptions folds options into a concrete *http.Client (the
-// facade uses it to thread options through the legacy client
-// constructors).
-func ResolveClientOptions(opts []ClientOption) *http.Client {
-	var cfg clientConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return resolveHTTP(cfg)
-}
-
 func resolveHTTP(cfg clientConfig) *http.Client {
 	h := cfg.http
 	if h == nil {

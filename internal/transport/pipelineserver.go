@@ -37,6 +37,13 @@ const (
 	maxCachedQueryBytes = 8 << 20
 )
 
+// Sink receives the raw frame of every accepted report; reportlog.Writer
+// satisfies it (wrapped with a mutex by the server). A nil sink disables
+// persistence.
+type Sink interface {
+	Append(payload []byte) error
+}
+
 // jsonContentType is the Content-Type header value of every JSON
 // response, preallocated so the cached-hit path assigns it without
 // allocating.
@@ -46,9 +53,10 @@ var jsonContentType = []string{"application/json"}
 // reports arrive on one route and every query kind is answered on one
 // route.
 //
-//	POST /v1/report   one or more concatenated report frames -> 204
-//	                  (v2 envelopes, including gradient frames; legacy v1
-//	                  report/range frames are accepted for migration)
+//	POST /v1/report   one or more concatenated envelope frames of any
+//	                  task, gradient frames included -> 204; a body with
+//	                  any frame that does not decode (the retired v1
+//	                  report and range frames among them) -> 400
 //	GET  /v1/query    ?kind=stats
 //	                  ?kind=mean[&attr=name]
 //	                  ?kind=freq&attr=name
@@ -599,6 +607,15 @@ func (s *PipelineServer) storeQuery(epoch uint64, raw string, body []byte) []str
 		etag := "\"q" + strconv.FormatUint(epoch, 10) + "\""
 		return []string{etag}
 	}
+}
+
+func attrIndex(s *schema.Schema, name string) (int, error) {
+	for i, a := range s.Attrs {
+		if a.Name == name {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown attribute %q", name)
 }
 
 // parseRangeQuery builds a RangeQuery from URL parameters, validating

@@ -1,21 +1,18 @@
 package transport
 
 import (
-	"encoding/json"
 	"errors"
-	"math"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 
-	"ldp/internal/core"
 	"ldp/internal/freq"
+	"ldp/internal/pipeline"
 	"ldp/internal/rangequery"
 	"ldp/internal/rng"
 	"ldp/internal/schema"
 )
 
-func rangeFixture(t *testing.T) (*schema.Schema, *rangequery.Collector) {
+// rangeFixture builds a range-only pipeline over two numeric attributes.
+func rangeFixture(t *testing.T) (*schema.Schema, *pipeline.Pipeline) {
 	t.Helper()
 	s, err := schema.New(
 		schema.Attribute{Name: "age", Kind: schema.Numeric},
@@ -24,81 +21,79 @@ func rangeFixture(t *testing.T) (*schema.Schema, *rangequery.Collector) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := rangequery.NewCollector(s, 1, rangequery.Config{Buckets: 32, GridCells: 4})
+	p, err := pipeline.New(s, 1,
+		pipeline.WithRange(rangequery.Config{Buckets: 32, GridCells: 4}),
+		pipeline.WithTaskWeight(pipeline.TaskMean, 0),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, col
+	return s, p
 }
 
 func TestRangeReportRoundTrip(t *testing.T) {
-	s, col := rangeFixture(t)
+	s, p := rangeFixture(t)
 	r := rng.New(3)
 	tp := schema.NewTuple(s)
 	tp.Num[0], tp.Num[1] = 0.3, -0.6
 	for i := 0; i < 50; i++ {
-		rep, err := col.Perturb(tp, r)
+		rep, err := p.Randomize(tp, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeRangeReport(EncodeRangeReport(rep))
+		got, err := DecodeEnvelope(mustEnvelope(t, rep))
 		if err != nil {
 			t.Fatalf("round trip: %v", err)
 		}
-		if got.Kind != rep.Kind || got.Attr != rep.Attr || got.Depth != rep.Depth || got.Pair != rep.Pair {
-			t.Fatalf("round trip header mismatch: got %+v, want %+v", got, rep)
-		}
-		if got.Resp.Value != rep.Resp.Value || len(got.Resp.Bits) != len(rep.Resp.Bits) {
-			t.Fatalf("round trip response mismatch: got %+v, want %+v", got.Resp, rep.Resp)
-		}
-		for w := range rep.Resp.Bits {
-			if got.Resp.Bits[w] != rep.Resp.Bits[w] {
-				t.Fatal("round trip bitset mismatch")
-			}
+		if got.Task != pipeline.TaskRange || !pipelineReportsEqual(got, rep) {
+			t.Fatalf("round trip mismatch: got %+v, want %+v", got.Range, rep.Range)
 		}
 	}
 }
 
 func TestRangeReportGRRRoundTrip(t *testing.T) {
-	rep := rangequery.Report{Kind: rangequery.KindHier, Attr: 1, Depth: 3, Resp: freq.Response{Value: 5}}
-	got, err := DecodeRangeReport(EncodeRangeReport(rep))
+	rep := pipeline.Report{Task: pipeline.TaskRange, Range: rangequery.Report{
+		Kind: rangequery.KindHier, Attr: 1, Depth: 3, Resp: freq.Response{Value: 5},
+	}}
+	got, err := DecodeEnvelope(mustEnvelope(t, rep))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != rangequery.KindHier || got.Attr != 1 || got.Depth != 3 ||
-		got.Resp.Value != 5 || got.Resp.Bits != nil {
-		t.Fatalf("got %+v", got)
+	if got.Range.Kind != rangequery.KindHier || got.Range.Attr != 1 || got.Range.Depth != 3 ||
+		got.Range.Resp.Value != 5 || got.Range.Resp.Bits != nil {
+		t.Fatalf("got %+v", got.Range)
 	}
 }
 
-func TestDecodeRangeReportRejectsCorruption(t *testing.T) {
-	frame := EncodeRangeReport(rangequery.Report{Kind: rangequery.KindGrid, Pair: 2, Resp: freq.Response{Value: 7}})
-
-	if _, err := DecodeRangeReport(frame[:5]); !errors.Is(err, ErrTruncated) {
+// TestDecodeRangeEnvelopeRejectsCorruption covers the range body decoder:
+// framing damage and every malformed body shape come back as errors.
+func TestDecodeRangeEnvelopeRejectsCorruption(t *testing.T) {
+	frame := mustEnvelope(t, pipeline.Report{Task: pipeline.TaskRange, Range: rangequery.Report{
+		Kind: rangequery.KindGrid, Pair: 2, Resp: freq.Response{Value: 7},
+	}})
+	if _, err := DecodeEnvelope(frame[:5]); !errors.Is(err, ErrTruncated) {
 		t.Errorf("truncated frame: got %v, want ErrTruncated", err)
-	}
-	bad := append([]byte("XXXX"), frame[4:]...)
-	if _, err := DecodeRangeReport(bad); !errors.Is(err, ErrBadMagic) {
-		t.Errorf("bad magic: got %v, want ErrBadMagic", err)
 	}
 	flip := append([]byte(nil), frame...)
 	flip[len(flip)-5] ^= 0xff // corrupt payload, keep length
-	if _, err := DecodeRangeReport(flip); !errors.Is(err, ErrBadChecksum) {
+	if _, err := DecodeEnvelope(flip); !errors.Is(err, ErrBadChecksum) {
 		t.Errorf("corrupt payload: got %v, want ErrBadChecksum", err)
 	}
-	ver := append([]byte(nil), frame...)
-	ver[4] = 9
-	if _, err := DecodeRangeReport(ver); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("bad version: got %v, want ErrBadVersion", err)
-	}
-	// A mean/frequency frame is not a range frame.
-	_, coreReps := sampleReports(t, oueFactory, 1)
-	if _, err := DecodeRangeReport(EncodeReport(coreReps[0])); !errors.Is(err, ErrBadMagic) {
-		t.Error("mean/frequency frame must be rejected by magic")
-	}
-	// And vice versa.
-	if _, err := DecodeReport(frame); !errors.Is(err, ErrBadMagic) {
-		t.Error("range frame must be rejected by the report decoder")
+	for name, body := range map[string][]byte{
+		"empty body":         {},
+		"unknown kind":       {9, 0, respValue, 1},
+		"cut hier header":    {rangeKindHier, 0},
+		"huge depth":         {rangeKindHier, 0, 65, respValue, 1},
+		"cut grid header":    {rangeKindGrid},
+		"no response":        {rangeKindGrid, 0},
+		"unknown response":   {rangeKindGrid, 0, 7, 1},
+		"cut bitset":         {rangeKindGrid, 0, respBits, 2, 1, 2, 3},
+		"trailing bytes":     {rangeKindGrid, 0, respValue, 1, 0},
+		"value out of range": {rangeKindGrid, 0, respValue, 0x80, 0x80, 0x80, 0x10},
+	} {
+		if _, err := DecodeEnvelope(envelopeFrame(append([]byte{envTaskRange}, body...))); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
 	}
 }
 
@@ -108,113 +103,52 @@ func TestDecodeRangeReportRejectsCorruption(t *testing.T) {
 // The degenerate zero-word bitset is rejected one layer earlier, at the
 // wire boundary (the columnar batch could not represent it faithfully).
 func TestCraftedShortBitsetRejectedByAggregator(t *testing.T) {
-	_, col := rangeFixture(t)
-	agg := rangequery.NewAggregator(col)
-	crafted := EncodeRangeReport(rangequery.Report{
+	_, p := rangeFixture(t)
+	crafted := mustEnvelope(t, pipeline.Report{Task: pipeline.TaskRange, Range: rangequery.Report{
 		Kind:  rangequery.KindHier,
 		Attr:  0,
 		Depth: 1,
 		Resp:  freq.Response{Bits: freq.NewBitset(128)}, // 2 words; depth 1 wants 1
-	})
-	rep, err := DecodeRangeReport(crafted)
+	}})
+	rep, err := DecodeEnvelope(crafted)
 	if err != nil {
 		t.Fatalf("crafted frame should decode at the wire layer: %v", err)
 	}
-	if err := agg.Add(rep); err == nil {
+	if err := p.Add(rep); err == nil {
 		t.Fatal("aggregator accepted a bitset wider than the depth's domain")
 	}
 
-	zeroWords := EncodeRangeReport(rangequery.Report{
+	zeroWords := mustEnvelope(t, pipeline.Report{Task: pipeline.TaskRange, Range: rangequery.Report{
 		Kind:  rangequery.KindHier,
 		Attr:  0,
 		Depth: 1,
 		Resp:  freq.Response{Bits: freq.NewBitset(0)},
-	})
-	if _, err := DecodeRangeReport(zeroWords); err == nil {
+	}})
+	if _, err := DecodeEnvelope(zeroWords); err == nil {
 		t.Fatal("wire layer accepted a zero-word bitset response")
 	}
 }
 
-func TestRangeServiceEndToEnd(t *testing.T) {
-	s, col := rangeFixture(t)
-	ragg := rangequery.NewAggregator(col)
-
-	// The range service piggybacks on a normal server; give it a minimal
-	// mean/frequency aggregator to wrap.
-	coreCol, err := core.NewCollector(testSchema(t), 1, pmFactory, oueFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(core.NewAggregator(coreCol), nil)
-	srv.EnableRange(ragg, nil)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	client := NewRangeClient(ts.URL+"/", col, nil)
-	const n = 4000
-	for i := 0; i < n; i++ {
-		r := rng.NewStream(9, uint64(i))
-		tp := schema.NewTuple(s)
-		tp.Num[0] = rng.Uniform(r, -0.5, 0.5)
-		tp.Num[1] = rng.Uniform(r, -1, 1)
-		if err := client.SendTuple(tp, r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ragg.N() != n {
-		t.Fatalf("aggregator saw %d reports, want %d", ragg.N(), n)
-	}
-
-	var stats struct{ N int64 }
-	getJSON(t, ts.URL+"/v1/rangestats", &stats)
-	if stats.N != n {
-		t.Errorf("rangestats n = %d, want %d", stats.N, n)
-	}
-
-	var r1 struct{ Mass float64 }
-	getJSON(t, ts.URL+"/v1/range?attr=age&lo=-0.5&hi=0.5", &r1)
-	if math.Abs(r1.Mass-1) > 0.3 {
-		t.Errorf("1-D mass over the full data support = %v, want ~1", r1.Mass)
-	}
-
-	var r2 struct{ Mass float64 }
-	getJSON(t, ts.URL+"/v1/range2d?x=age&y=income&xlo=-1&xhi=1&ylo=-1&yhi=1", &r2)
-	if math.Abs(r2.Mass-1) > 1e-9 {
-		t.Errorf("2-D whole-square mass = %v, want 1", r2.Mass)
-	}
-
-	// Error paths surface as HTTP status codes.
-	for _, url := range []string{
-		ts.URL + "/v1/range?attr=nope&lo=0&hi=1",
-		ts.URL + "/v1/range?attr=age&lo=x&hi=1",
-		ts.URL + "/v1/range2d?x=age&y=income&xlo=0&xhi=1&ylo=0&yhi=bad",
-	} {
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			t.Errorf("%s: want non-200", url)
-		}
-	}
-}
-
+// TestReplayRange: replaying a log of range frames rebuilds range answers
+// exactly.
 func TestReplayRange(t *testing.T) {
-	s, col := rangeFixture(t)
+	s, p := rangeFixture(t)
 	var frames [][]byte
 	r := rng.New(4)
 	for i := 0; i < 100; i++ {
 		tp := schema.NewTuple(s)
 		tp.Num[0], tp.Num[1] = rng.Uniform(r, -1, 1), rng.Uniform(r, -1, 1)
-		rep, err := col.Perturb(tp, r)
+		rep, err := p.Randomize(tp, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames = append(frames, EncodeRangeReport(rep))
+		if err := p.Add(rep); err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, mustEnvelope(t, rep))
 	}
-	agg := rangequery.NewAggregator(col)
-	n, err := ReplayRange(agg, func(fn func([]byte) error) error {
+	_, fresh := rangeFixture(t)
+	n, err := ReplayPipeline(fresh, func(fn func([]byte) error) error {
 		for _, f := range frames {
 			if err := fn(f); err != nil {
 				return err
@@ -225,22 +159,23 @@ func TestReplayRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 100 || agg.N() != 100 {
-		t.Errorf("replayed %d frames into N=%d, want 100/100", n, agg.N())
+	if n != 100 || fresh.N() != 100 {
+		t.Errorf("replayed %d frames into N=%d, want 100/100", n, fresh.N())
 	}
-}
-
-func getJSON(t *testing.T, url string, v any) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: %s", url, resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		t.Fatal(err)
+	for _, q := range []pipeline.RangeQuery{
+		{Attr: "age", Lo: -0.5, Hi: 0.5},
+		{Attr: "age", Lo: -1, Hi: 0, Attr2: "income", Lo2: 0, Hi2: 1},
+	} {
+		want, err := p.Snapshot().Range(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fresh.Snapshot().Range(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%+v: replayed %v, original %v", q, got, want)
+		}
 	}
 }

@@ -150,9 +150,9 @@ func TestRequestMetricsExactCounts(t *testing.T) {
 	for _, bad := range [][]byte{
 		[]byte("garbage-frame"),
 		nil,
-		// A well-formed legacy frame whose attribute is outside the
+		// A well-formed joint report whose attribute is outside the
 		// 3-attribute schema: decodes fine, rejected by validation.
-		EncodeReport(core.Report{Entries: []core.Entry{{Attr: 9, Kind: core.EntryNumeric, Value: 0.5}}}),
+		mustEnvelope(t, pipeline.Report{Task: pipeline.TaskJoint, Entries: []core.Entry{{Attr: 9, Kind: core.EntryNumeric, Value: 0.5}}}),
 	} {
 		resp, err := c.Post(srv.URL+"/v1/report", "application/octet-stream", bytes.NewReader(bad))
 		if err != nil {

@@ -2,26 +2,31 @@ package transport
 
 import (
 	"bytes"
-	"io"
+	"context"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"ldp/internal/core"
 	"ldp/internal/freq"
 	"ldp/internal/mech"
+	"ldp/internal/pipeline"
+	"ldp/internal/rangequery"
 	"ldp/internal/reportlog"
 	"ldp/internal/rng"
 	"ldp/internal/schema"
+	"ldp/internal/telemetry"
 )
 
 func pmFactory(eps float64) (mech.Mechanism, error)      { return core.NewPiecewise(eps) }
 func oueFactory(eps float64, k int) (freq.Oracle, error) { return freq.NewOUE(eps, k) }
 func grrFactory(eps float64, k int) (freq.Oracle, error) { return freq.NewGRR(eps, k) }
 
-func testSchema(t *testing.T) *schema.Schema {
+func testSchema(t testing.TB) *schema.Schema {
 	t.Helper()
 	s, err := schema.New(
 		schema.Attribute{Name: "age", Kind: schema.Numeric},
@@ -34,58 +39,47 @@ func testSchema(t *testing.T) *schema.Schema {
 	return s
 }
 
-func sampleReports(t *testing.T, oracle freq.Factory, n int) (*core.Collector, []core.Report) {
+func testTuple(s *schema.Schema, r *rng.Rand) schema.Tuple {
+	tup := schema.NewTuple(s)
+	tup.Num[0] = rng.Uniform(r, -1, 1)
+	tup.Cat[1] = r.IntN(2)
+	tup.Cat[2] = r.IntN(70)
+	return tup
+}
+
+// sampleReports randomizes n tuples through the joint task (Algorithm 4
+// over the whole schema) of a pipeline over testSchema.
+func sampleReports(t testing.TB, oracle freq.Factory, n int) (*pipeline.Pipeline, []pipeline.Report) {
 	t.Helper()
 	s := testSchema(t)
-	col, err := core.NewCollector(s, 8, pmFactory, oracle) // k=3: all attrs sampled
+	p, err := pipeline.New(s, 8, pipeline.WithMechanism(pmFactory), pipeline.WithOracle(oracle)) // k=3: all attrs sampled
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rng.New(1)
-	reps := make([]core.Report, n)
+	reps := make([]pipeline.Report, n)
 	for i := range reps {
-		tup := schema.NewTuple(s)
-		tup.Num[0] = rng.Uniform(r, -1, 1)
-		tup.Cat[1] = r.IntN(2)
-		tup.Cat[2] = r.IntN(70)
-		rep, err := col.Perturb(tup, r)
+		rep, err := p.JointTask().Randomize(testTuple(s, r), r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		reps[i] = rep
 	}
-	return col, reps
-}
-
-func reportsEqual(a, b core.Report) bool {
-	if len(a.Entries) != len(b.Entries) {
-		return false
-	}
-	for i := range a.Entries {
-		x, y := a.Entries[i], b.Entries[i]
-		if x.Attr != y.Attr || x.Kind != y.Kind || x.Value != y.Value {
-			return false
-		}
-		if (x.Resp.Bits == nil) != (y.Resp.Bits == nil) || x.Resp.Value != y.Resp.Value {
-			return false
-		}
-		for w := range x.Resp.Bits {
-			if x.Resp.Bits[w] != y.Resp.Bits[w] {
-				return false
-			}
-		}
-	}
-	return true
+	return p, reps
 }
 
 func TestWireRoundTripOUE(t *testing.T) {
 	_, reps := sampleReports(t, oueFactory, 50)
 	for i, rep := range reps {
-		got, err := DecodeReport(EncodeReport(rep))
+		frame, err := EncodeEnvelope(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeEnvelope(frame)
 		if err != nil {
 			t.Fatalf("report %d: %v", i, err)
 		}
-		if !reportsEqual(got, rep) {
+		if !pipelineReportsEqual(got, rep) {
 			t.Fatalf("report %d: round trip mismatch", i)
 		}
 	}
@@ -94,34 +88,45 @@ func TestWireRoundTripOUE(t *testing.T) {
 func TestWireRoundTripGRR(t *testing.T) {
 	_, reps := sampleReports(t, grrFactory, 50)
 	for i, rep := range reps {
-		got, err := DecodeReport(EncodeReport(rep))
+		frame, err := EncodeEnvelope(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeEnvelope(frame)
 		if err != nil {
 			t.Fatalf("report %d: %v", i, err)
 		}
-		if !reportsEqual(got, rep) {
+		if !pipelineReportsEqual(got, rep) {
 			t.Fatalf("report %d: round trip mismatch", i)
 		}
 	}
 }
 
 func TestWireRoundTripSpecialFloats(t *testing.T) {
-	rep := core.Report{Entries: []core.Entry{
+	rep := pipeline.Report{Task: pipeline.TaskJoint, Entries: []core.Entry{
 		{Attr: 0, Kind: core.EntryNumeric, Value: 0},
 		{Attr: 1, Kind: core.EntryNumeric, Value: math.Copysign(0, -1)},
 		{Attr: 2, Kind: core.EntryNumeric, Value: -17.25},
 	}}
-	got, err := DecodeReport(EncodeReport(rep))
+	frame, err := EncodeEnvelope(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reportsEqual(got, rep) {
+	got, err := DecodeEnvelope(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pipelineReportsEqual(got, rep) || !math.Signbit(got.Entries[1].Value) {
 		t.Fatal("round trip mismatch")
 	}
 }
 
 func TestDecodeRejectsMalformedFrames(t *testing.T) {
 	_, reps := sampleReports(t, oueFactory, 1)
-	good := EncodeReport(reps[0])
+	good, err := EncodeEnvelope(reps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := map[string][]byte{
 		"empty":     {},
@@ -134,99 +139,148 @@ func TestDecodeRejectsMalformedFrames(t *testing.T) {
 		"truncated": good[:len(good)-4],
 	}
 	for name, frame := range cases {
-		if _, err := DecodeReport(frame); err == nil {
+		if _, err := DecodeEnvelope(frame); err == nil {
 			t.Errorf("%s: expected decode error", name)
 		}
 	}
 }
 
 func TestDecodeRejectsOversizedFrame(t *testing.T) {
-	if _, err := DecodeReport(make([]byte, MaxFrameSize+1)); err == nil {
+	if _, err := DecodeEnvelope(make([]byte, MaxFrameSize+1)); err == nil {
 		t.Error("expected error for oversized frame")
 	}
 }
 
+// TestServerEndToEnd sends Algorithm-4 joint reports through the HTTP
+// server and checks they fold exactly as a local Add would.
 func TestServerEndToEnd(t *testing.T) {
-	col, reps := sampleReports(t, oueFactory, 500)
-	agg := core.NewAggregator(col)
-	srv := httptest.NewServer(NewServer(agg, nil))
+	p, reps := sampleReports(t, oueFactory, 500)
+	local, err := pipeline.New(p.Schema(), p.Epsilon(), pipeline.WithMechanism(pmFactory), pipeline.WithOracle(oueFactory))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewPipelineServer(p, nil))
 	defer srv.Close()
 
-	client := NewClient(srv.URL+"/", col, srv.Client())
+	client := NewPipelineClient(srv.URL+"/", p, WithHTTPClient(srv.Client()))
 	for _, rep := range reps {
-		if err := client.SendReport(rep); err != nil {
+		if err := client.SendReport(context.Background(), rep); err != nil {
+			t.Fatal(err)
+		}
+		if err := local.Add(rep); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if agg.N() != 500 {
-		t.Fatalf("aggregator has %d reports, want 500", agg.N())
+	if got := p.TaskCounts()[pipeline.TaskJoint]; got != 500 {
+		t.Fatalf("server folded %d joint reports, want 500", got)
+	}
+	remote, want := p.Snapshot(), local.Snapshot()
+	rm, _ := remote.Mean("age")
+	wm, _ := want.Mean("age")
+	rf, _ := remote.Freq("region")
+	wf, _ := want.Freq("region")
+	if rm != wm || rf[3] != wf[3] {
+		t.Errorf("server estimates (mean %v, freq %v) differ from local fold (%v, %v)", rm, rf[3], wm, wf[3])
 	}
 
-	// Query endpoints.
-	resp, err := http.Get(srv.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("stats status %d", resp.StatusCode)
-	}
-	resp, err = http.Get(srv.URL + "/v1/means")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("means status %d", resp.StatusCode)
-	}
-	resp, err = http.Get(srv.URL + "/v1/freqs?attr=region")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("freqs status %d", resp.StatusCode)
-	}
-	resp, err = http.Get(srv.URL + "/v1/freqs?attr=nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown attr status %d, want 404", resp.StatusCode)
-	}
-	resp, err = http.Get(srv.URL + "/v1/freqs?attr=age")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("numeric attr freqs status %d, want 400", resp.StatusCode)
+	for path, code := range map[string]int{
+		"/v1/query?kind=mean&attr=age":    http.StatusOK,
+		"/v1/query?kind=freq&attr=region": http.StatusOK,
+		"/v1/query?kind=freq&attr=nope":   http.StatusBadRequest,
+		"/v1/query?kind=freq&attr=age":    http.StatusBadRequest,
+	} {
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != code {
+			t.Errorf("%s -> %d, want %d", path, resp.StatusCode, code)
+		}
 	}
 }
 
+// countingSink counts the frames a server persists.
+type countingSink struct {
+	mu     sync.Mutex
+	frames int
+}
+
+func (s *countingSink) Append([]byte) error {
+	s.mu.Lock()
+	s.frames++
+	s.mu.Unlock()
+	return nil
+}
+
+// TestServerRejectsGarbage: bodies that do not decode — garbage, and the
+// retired v1 report and range frames — answer 400, count as bad frames,
+// and neither persist nor fold anything.
 func TestServerRejectsGarbage(t *testing.T) {
-	col, _ := sampleReports(t, oueFactory, 1)
-	srv := httptest.NewServer(NewServer(core.NewAggregator(col), nil))
-	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/v1/report", "application/octet-stream", bytes.NewReader([]byte("garbage")))
+	_, reps := sampleReports(t, oueFactory, 1)
+	reg := telemetry.NewRegistry()
+	p, err := pipeline.New(testSchema(t), 8, pipeline.WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("status %d, want 400", resp.StatusCode)
+	sink := &countingSink{}
+	srv := httptest.NewServer(NewPipelineServer(p, sink, WithServerTelemetry(reg)))
+	defer srv.Close()
+
+	bodies := map[string][]byte{
+		"garbage":    []byte("garbage"),
+		"v1 report":  legacyReportFrame(reps[0].Entries),
+		"v1 range":   legacyRangeFrame(rangequery.Report{Kind: rangequery.KindHier, Attr: 0, Depth: 1, Resp: freq.Response{Bits: freq.NewBitset(2)}}),
+		"v2 then v1": append(mustEnvelope(t, reps[0]), legacyReportFrame(reps[0].Entries)...),
+		"v1 then v2": append(legacyReportFrame(reps[0].Entries), mustEnvelope(t, reps[0])...),
 	}
+	for name, body := range bodies {
+		before := badFrameCount(t, reg)
+		resp, err := http.Post(srv.URL+"/v1/report", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+		if got := badFrameCount(t, reg); got != before+1 {
+			t.Errorf("%s: bad_frame count %d -> %d, want +1", name, before, got)
+		}
+	}
+	if sink.frames != 0 || p.N() != 0 {
+		t.Errorf("rejected bodies persisted %d frames and folded %d reports", sink.frames, p.N())
+	}
+}
+
+// badFrameCount scrapes ldp_report_decode_errors_total{reason="bad_frame"}.
+func badFrameCount(t *testing.T, reg *telemetry.Registry) int {
+	t.Helper()
+	var sb strings.Builder
+	if _, err := reg.WriteProm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	const prefix = `ldp_report_decode_errors_total{reason="bad_frame"} `
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, prefix); ok {
+			n, err := strconv.Atoi(rest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatal("no bad_frame counter in the exposition")
+	return 0
 }
 
 func TestServerSendTupleConcurrent(t *testing.T) {
 	s := testSchema(t)
-	col, err := core.NewCollector(s, 1, pmFactory, oueFactory)
+	p, err := pipeline.New(s, 1, pipeline.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := core.NewAggregator(col)
-	srv := httptest.NewServer(NewServer(agg, nil))
+	srv := httptest.NewServer(NewPipelineServer(p, nil))
 	defer srv.Close()
 
 	const workers, perWorker = 8, 50
@@ -236,14 +290,10 @@ func TestServerSendTupleConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			client := NewClient(srv.URL, col, srv.Client())
+			client := NewPipelineClient(srv.URL, p, WithHTTPClient(srv.Client()))
 			r := rng.NewStream(9, uint64(w))
 			for i := 0; i < perWorker; i++ {
-				tup := schema.NewTuple(s)
-				tup.Num[0] = rng.Uniform(r, -1, 1)
-				tup.Cat[1] = r.IntN(2)
-				tup.Cat[2] = r.IntN(70)
-				if err := client.SendTuple(tup, r); err != nil {
+				if err := client.Send(context.Background(), testTuple(s, r), r); err != nil {
 					errs <- err
 					return
 				}
@@ -255,23 +305,22 @@ func TestServerSendTupleConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if agg.N() != workers*perWorker {
-		t.Errorf("N = %d, want %d", agg.N(), workers*perWorker)
+	if p.N() != workers*perWorker {
+		t.Errorf("N = %d, want %d", p.N(), workers*perWorker)
 	}
 }
 
 func TestServerPersistsAndReplays(t *testing.T) {
-	col, reps := sampleReports(t, oueFactory, 200)
+	p, reps := sampleReports(t, oueFactory, 200)
 	dir := t.TempDir()
 	w, err := reportlog.Open(dir, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := core.NewAggregator(col)
-	srv := httptest.NewServer(NewServer(agg, w))
-	client := NewClient(srv.URL, col, srv.Client())
+	srv := httptest.NewServer(NewPipelineServer(p, w))
+	client := NewPipelineClient(srv.URL, p, WithHTTPClient(srv.Client()))
 	for _, rep := range reps {
-		if err := client.SendReport(rep); err != nil {
+		if err := client.SendReport(context.Background(), rep); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,23 +329,26 @@ func TestServerPersistsAndReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate restart: rebuild a fresh aggregator from the log.
-	agg2 := core.NewAggregator(col)
-	n, err := Replay(agg2, func(fn func([]byte) error) error {
+	// Simulate restart: rebuild a fresh pipeline from the log.
+	fresh, err := pipeline.New(p.Schema(), p.Epsilon(), pipeline.WithMechanism(pmFactory), pipeline.WithOracle(oueFactory))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := ReplayPipeline(fresh, func(fn func([]byte) error) error {
 		_, err := reportlog.Replay(dir, fn)
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 200 || agg2.N() != 200 {
-		t.Fatalf("replayed %d reports (agg %d), want 200", n, agg2.N())
+	if n != 200 || fresh.N() != 200 {
+		t.Fatalf("replayed %d reports (pipeline %d), want 200", n, fresh.N())
 	}
-	m1, err := agg.MeanEstimate(0)
+	m1, err := p.Snapshot().Mean("age")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := agg2.MeanEstimate(0)
+	m2, err := fresh.Snapshot().Mean("age")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,56 +357,21 @@ func TestServerPersistsAndReplays(t *testing.T) {
 	}
 }
 
-func TestServerSnapshotEndpoint(t *testing.T) {
-	col, reps := sampleReports(t, oueFactory, 100)
-	agg := core.NewAggregator(col)
-	srv := httptest.NewServer(NewServer(agg, nil))
-	defer srv.Close()
-	client := NewClient(srv.URL, col, srv.Client())
-	for _, rep := range reps {
-		if err := client.SendReport(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resp, err := http.Get(srv.URL + "/v1/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	snap, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := core.NewAggregator(col)
-	if err := fresh.LoadSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.N() != 100 {
-		t.Errorf("restored N = %d, want 100", fresh.N())
-	}
-	m1, _ := agg.MeanEstimate(0)
-	m2, _ := fresh.MeanEstimate(0)
-	if m1 != m2 {
-		t.Errorf("snapshot-restored mean %v != live %v", m2, m1)
-	}
-}
-
 func TestClientReportsServerRejection(t *testing.T) {
-	col, _ := sampleReports(t, oueFactory, 1)
+	p, reps := sampleReports(t, oueFactory, 1)
 	// A server built over a different schema rejects the client's frames.
 	other, err := schema.New(schema.Attribute{Name: "only", Kind: schema.Numeric})
 	if err != nil {
 		t.Fatal(err)
 	}
-	otherCol, err := core.NewCollector(other, 1, pmFactory, oueFactory)
+	otherP, err := pipeline.New(other, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(core.NewAggregator(otherCol), nil))
+	srv := httptest.NewServer(NewPipelineServer(otherP, nil))
 	defer srv.Close()
-	client := NewClient(srv.URL, col, srv.Client())
-	rep := core.Report{Entries: []core.Entry{{Attr: 2, Kind: core.EntryNumeric, Value: 1}}}
-	if err := client.SendReport(rep); err == nil {
+	client := NewPipelineClient(srv.URL, p, WithHTTPClient(srv.Client()))
+	if err := client.SendReport(context.Background(), reps[0]); err == nil {
 		t.Error("expected rejection for out-of-schema report")
 	}
 }

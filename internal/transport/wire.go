@@ -2,10 +2,12 @@
 // system model (Section II): users randomize their records locally and send
 // only the perturbed reports to an aggregator over HTTP.
 //
-// The wire format is a compact CRC-framed binary encoding of core.Report;
-// the server accumulates reports into a core.Aggregator (optionally
-// persisting raw frames to a reportlog for crash recovery) and serves mean
-// and frequency estimates as JSON.
+// Every report travels as one CRC-framed binary envelope (see
+// envelope.go) that tags the task it answers. PipelineServer decodes
+// uploads straight into a columnar pipeline.ReportBatch, persists the raw
+// frames write-ahead when given a Sink, folds the batch into the sharded
+// pipeline, and serves every query kind as JSON; PipelineClient is the
+// user's side.
 package transport
 
 import (
@@ -16,13 +18,11 @@ import (
 	"math"
 
 	"ldp/internal/core"
-	"ldp/internal/freq"
 )
 
 // Frame constants for the report wire format.
 const (
-	wireMagic   = "LDPR"
-	wireVersion = 1
+	wireMagic = "LDPR"
 
 	entryNumeric  = 0
 	entryCatBits  = 1
@@ -40,7 +40,7 @@ const (
 	maxWireValue = 1 << 24
 )
 
-// Errors returned by DecodeReport and DecodeRangeReport.
+// Errors returned by the frame decoders.
 var (
 	ErrBadMagic    = errors.New("transport: bad frame magic")
 	ErrBadVersion  = errors.New("transport: unsupported frame version")
@@ -48,76 +48,40 @@ var (
 	ErrTruncated   = errors.New("transport: truncated frame")
 )
 
-// encodeFrame wraps a payload in the common self-contained envelope
-// shared by every frame type:
-//
-//	magic(4) version(1) payloadLen(u32) payload crc32(u32)
-func encodeFrame(magic string, version byte, payload []byte) []byte {
-	frame := make([]byte, 0, len(payload)+13)
-	frame = append(frame, magic...)
-	frame = append(frame, version)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	return frame
-}
-
-// parseFrame validates the structural envelope shared by every frame type
-// (size limit, length, checksum) and returns the version and payload.
-// Callers dispatch on (magic, version) with frameMagicIs; the magic is not
-// returned as a string so the batch decode path stays allocation-free.
-func parseFrame(frame []byte) (version byte, payload []byte, err error) {
+// parseFrame validates a report frame — size limit, length, checksum,
+// magic, and version — and returns its payload. Only the v2 envelope
+// decodes: a frame in the retired v1 report layout fails with
+// ErrBadVersion, and any other magic, including the retired v1 range
+// frames, with ErrBadMagic.
+func parseFrame(frame []byte) (payload []byte, err error) {
 	if len(frame) > MaxFrameSize {
-		return 0, nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", len(frame))
+		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", len(frame))
 	}
 	if len(frame) < 13 {
-		return 0, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
 	plen := binary.LittleEndian.Uint32(frame[5:9])
 	if int(plen) != len(frame)-13 {
-		return 0, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
 	payload = frame[9 : 9+plen]
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[9+plen:]) {
-		return 0, nil, ErrBadChecksum
+		return nil, ErrBadChecksum
 	}
-	return frame[4], payload, nil
-}
-
-// frameMagicIs reports whether the frame starts with the given 4-byte
-// magic. The string conversion in the comparison does not allocate.
-func frameMagicIs(frame []byte, magic string) bool {
-	return len(frame) >= 4 && string(frame[:4]) == magic
-}
-
-// decodeFrame validates the common envelope (size limit, magic, version,
-// length, checksum) and returns the payload.
-func decodeFrame(magic string, version byte, frame []byte) ([]byte, error) {
-	gotVersion, payload, err := parseFrame(frame)
-	if err != nil {
-		return nil, err
-	}
-	if !frameMagicIs(frame, magic) {
+	// The string conversion in the comparison does not allocate.
+	if string(frame[:4]) != wireMagic {
 		return nil, ErrBadMagic
 	}
-	if gotVersion != version {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, gotVersion)
+	if frame[4] != wireEnvelopeVersion {
+		return nil, fmt.Errorf("%w: %d", ErrBadVersion, frame[4])
 	}
 	return payload, nil
 }
 
-// EncodeReport serializes a report into a self-contained frame:
-//
-//	magic(4) version(1) payloadLen(u32) payload crc32(u32)
-//
-// Payload: entryCount(uvarint) then per entry: attr(uvarint), kind(byte),
-// and the kind-specific body (float64 bits, a bitset, or a value index).
-func EncodeReport(rep core.Report) []byte {
-	return encodeFrame(wireMagic, wireVersion, appendEntries(nil, rep.Entries))
-}
-
-// appendEntries appends the entry-list payload encoding shared by the v1
-// report frame and the v2 envelope's mean/freq/joint payloads.
+// appendEntries appends the entry-list payload encoding of the envelope's
+// mean/freq/joint bodies: entryCount(uvarint) then per entry:
+// attr(uvarint), kind(byte), and the kind-specific body (float64 bits, a
+// bitset, or a value index).
 func appendEntries(payload []byte, entries []core.Entry) []byte {
 	if payload == nil {
 		payload = make([]byte, 0, 16+16*len(entries))
@@ -141,102 +105,4 @@ func appendEntries(payload []byte, entries []core.Entry) []byte {
 		}
 	}
 	return payload
-}
-
-// DecodeReport parses a frame produced by EncodeReport.
-func DecodeReport(frame []byte) (core.Report, error) {
-	payload, err := decodeFrame(wireMagic, wireVersion, frame)
-	if err != nil {
-		return core.Report{}, err
-	}
-	entries, err := decodeEntries(payload)
-	if err != nil {
-		return core.Report{}, err
-	}
-	return core.Report{Entries: entries}, nil
-}
-
-// decodeEntries parses the entry-list payload encoding (see appendEntries).
-// The whole payload must be consumed.
-func decodeEntries(payload []byte) ([]core.Entry, error) {
-	pos := 0
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(payload[pos:])
-		if n <= 0 {
-			return 0, ErrTruncated
-		}
-		pos += n
-		return v, nil
-	}
-	count, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if count > 1<<16 {
-		return nil, fmt.Errorf("transport: implausible entry count %d", count)
-	}
-	entries := make([]core.Entry, 0, count)
-	for i := uint64(0); i < count; i++ {
-		attr, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if attr > maxWireAttr {
-			return nil, fmt.Errorf("transport: implausible entry attribute %d", attr)
-		}
-		if pos >= len(payload) {
-			return nil, ErrTruncated
-		}
-		kind := payload[pos]
-		pos++
-		var e core.Entry
-		e.Attr = int(attr)
-		switch kind {
-		case entryNumeric:
-			if pos+8 > len(payload) {
-				return nil, ErrTruncated
-			}
-			e.Kind = core.EntryNumeric
-			e.Value = math.Float64frombits(binary.LittleEndian.Uint64(payload[pos:]))
-			pos += 8
-		case entryCatBits:
-			words, err := readUvarint()
-			if err != nil {
-				return nil, err
-			}
-			// A 0-word bitset can never validate (every oracle domain
-			// needs >= 1 word); rejecting it here keeps the decoders from
-			// ever carrying a bits response that looks like a value.
-			if words == 0 {
-				return nil, fmt.Errorf("transport: empty bitset entry")
-			}
-			if words > 1<<12 || pos+int(words)*8 > len(payload) {
-				return nil, ErrTruncated
-			}
-			bits := make(freq.Bitset, words)
-			for w := range bits {
-				bits[w] = binary.LittleEndian.Uint64(payload[pos:])
-				pos += 8
-			}
-			e.Kind = core.EntryCategoricalBits
-			e.Resp = freq.Response{Bits: bits}
-		case entryCatValue:
-			v, err := readUvarint()
-			if err != nil {
-				return nil, err
-			}
-			if v > maxWireValue {
-				return nil, fmt.Errorf("transport: implausible categorical value %d", v)
-			}
-			e.Kind = core.EntryCategoricalValue
-			e.Resp = freq.Response{Value: int(v)}
-		default:
-			return nil, fmt.Errorf("transport: unknown entry kind %d", kind)
-		}
-		entries = append(entries, e)
-	}
-	if pos != len(payload) {
-		return nil, fmt.Errorf("transport: %d trailing payload bytes", len(payload)-pos)
-	}
-	return entries, nil
 }

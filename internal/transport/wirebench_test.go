@@ -3,45 +3,9 @@ package transport
 import (
 	"testing"
 
-	"ldp/internal/core"
-	"ldp/internal/freq"
 	"ldp/internal/pipeline"
 	"ldp/internal/rng"
 )
-
-// benchCoreReport is a representative legacy Algorithm-4 report: one
-// numeric entry and one unary-encoded categorical entry.
-func benchCoreReport() core.Report {
-	bits := freq.NewBitset(16)
-	bits.Set(3)
-	bits.Set(11)
-	return core.Report{Entries: []core.Entry{
-		{Attr: 0, Kind: core.EntryNumeric, Value: 0.375},
-		{Attr: 2, Kind: core.EntryCategoricalBits, Resp: freq.Response{Bits: bits}},
-	}}
-}
-
-func BenchmarkEncodeReport(b *testing.B) {
-	rep := benchCoreReport()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if f := EncodeReport(rep); len(f) == 0 {
-			b.Fatal("empty frame")
-		}
-	}
-}
-
-func BenchmarkDecodeReport(b *testing.B) {
-	frame := EncodeReport(benchCoreReport())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeReport(frame); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // benchEnvelopeBody builds a batch-upload body of n unified report frames
 // from a mean+freq pipeline.

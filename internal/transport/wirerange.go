@@ -2,26 +2,15 @@ package transport
 
 import (
 	"encoding/binary"
-	"fmt"
 
-	"ldp/internal/freq"
 	"ldp/internal/rangequery"
 )
 
-// Range-report frames carry rangequery.Report values. They share the
-// structure of the mean/frequency frames —
-//
-//	magic(4) version(1) payloadLen(u32) payload crc32(u32)
-//
-// — under a distinct magic so a misrouted frame fails fast with
-// ErrBadMagic instead of decoding into garbage. Payload: kind(byte), the
-// kind-specific header (attr+depth uvarints for hierarchy reports, the
+// The envelope's range bodies carry rangequery.Report values: kind(byte),
+// the kind-specific header (attr+depth uvarints for hierarchy reports, the
 // pair uvarint for grid reports), then the frequency-oracle response
 // (respBits: word count + words; respValue: value uvarint).
 const (
-	wireRangeMagic   = "LDPQ"
-	wireRangeVersion = 1
-
 	rangeKindHier = 0
 	rangeKindGrid = 1
 
@@ -29,13 +18,7 @@ const (
 	respValue = 1
 )
 
-// EncodeRangeReport serializes a range report into a self-contained frame.
-func EncodeRangeReport(rep rangequery.Report) []byte {
-	return encodeFrame(wireRangeMagic, wireRangeVersion, appendRangeReport(nil, rep))
-}
-
-// appendRangeReport appends the range-report payload encoding shared by
-// the v1 range frame and the v2 envelope's range payload.
+// appendRangeReport appends the range-report body encoding.
 func appendRangeReport(payload []byte, rep rangequery.Report) []byte {
 	if payload == nil {
 		payload = make([]byte, 0, 16+8*len(rep.Resp.Bits))
@@ -60,101 +43,4 @@ func appendRangeReport(payload []byte, rep rangequery.Report) []byte {
 		payload = binary.AppendUvarint(payload, uint64(rep.Resp.Value))
 	}
 	return payload
-}
-
-// DecodeRangeReport parses a frame produced by EncodeRangeReport.
-func DecodeRangeReport(frame []byte) (rangequery.Report, error) {
-	payload, err := decodeFrame(wireRangeMagic, wireRangeVersion, frame)
-	if err != nil {
-		return rangequery.Report{}, err
-	}
-	return decodeRangeReport(payload)
-}
-
-// decodeRangeReport parses the range-report payload encoding (see
-// appendRangeReport). The whole payload must be consumed.
-func decodeRangeReport(payload []byte) (rangequery.Report, error) {
-	var zero rangequery.Report
-	pos := 0
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(payload[pos:])
-		if n <= 0 {
-			return 0, ErrTruncated
-		}
-		pos += n
-		return v, nil
-	}
-	if len(payload) < 1 {
-		return zero, ErrTruncated
-	}
-	kind := payload[pos]
-	pos++
-	var rep rangequery.Report
-	switch kind {
-	case rangeKindHier:
-		rep.Kind = rangequery.KindHier
-		attr, err := readUvarint()
-		if err != nil {
-			return zero, err
-		}
-		depth, err := readUvarint()
-		if err != nil {
-			return zero, err
-		}
-		if attr > 1<<16 || depth > 64 {
-			return zero, fmt.Errorf("transport: implausible hierarchy header attr=%d depth=%d", attr, depth)
-		}
-		rep.Attr, rep.Depth = int(attr), int(depth)
-	case rangeKindGrid:
-		rep.Kind = rangequery.KindGrid
-		pair, err := readUvarint()
-		if err != nil {
-			return zero, err
-		}
-		if pair > 1<<20 {
-			return zero, fmt.Errorf("transport: implausible pair index %d", pair)
-		}
-		rep.Pair = int(pair)
-	default:
-		return zero, fmt.Errorf("transport: unknown range report kind %d", kind)
-	}
-	if pos >= len(payload) {
-		return zero, ErrTruncated
-	}
-	respKind := payload[pos]
-	pos++
-	switch respKind {
-	case respBits:
-		words, err := readUvarint()
-		if err != nil {
-			return zero, err
-		}
-		if words == 0 {
-			return zero, fmt.Errorf("transport: empty bitset response")
-		}
-		if words > 1<<12 || pos+int(words)*8 > len(payload) {
-			return zero, ErrTruncated
-		}
-		bits := make(freq.Bitset, words)
-		for w := range bits {
-			bits[w] = binary.LittleEndian.Uint64(payload[pos:])
-			pos += 8
-		}
-		rep.Resp = freq.Response{Bits: bits}
-	case respValue:
-		v, err := readUvarint()
-		if err != nil {
-			return zero, err
-		}
-		if v > maxWireValue {
-			return zero, fmt.Errorf("transport: implausible response value %d", v)
-		}
-		rep.Resp = freq.Response{Value: int(v)}
-	default:
-		return zero, fmt.Errorf("transport: unknown response kind %d", respKind)
-	}
-	if pos != len(payload) {
-		return zero, fmt.Errorf("transport: %d trailing payload bytes", len(payload)-pos)
-	}
-	return rep, nil
 }

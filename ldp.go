@@ -11,7 +11,6 @@ import (
 	"ldp/internal/rangequery"
 	"ldp/internal/rng"
 	"ldp/internal/schema"
-	"ldp/internal/transport"
 )
 
 // Randomness. A Rand must not be shared across goroutines.
@@ -108,7 +107,8 @@ func NewSCDF(eps float64) (*SCDF, error) { return noise.NewSCDF(eps) }
 // NewStaircase constructs the staircase mechanism.
 func NewStaircase(eps float64) (*Staircase, error) { return noise.NewStaircase(eps) }
 
-// Mechanism factories for use with NewCollector and NewNumericCollector.
+// Mechanism and oracle factories for use with WithMechanism, WithOracle,
+// and NewNumericCollector.
 var (
 	// PM builds Piecewise Mechanisms.
 	PM MechanismFactory = func(eps float64) (Mechanism, error) { return core.NewPiecewise(eps) }
@@ -122,53 +122,15 @@ var (
 	SUE OracleFactory = func(eps float64, k int) (FrequencyOracle, error) { return freq.NewSUE(eps, k) }
 )
 
-// Multidimensional collection (the paper's Algorithm 4 and Section IV-C).
-//
-// The Collector/Aggregator pair is the legacy two-stack API; new code
-// should build a Pipeline (see New), which serves mean, frequency, and
-// range queries from one report stream. The legacy types remain as thin
-// shims: their reports still decode (DecodeReport returns them as
-// TaskJoint) and still fold into a Pipeline's aggregate state.
-type (
-	// Collector randomizes mixed numeric/categorical tuples.
-	//
-	// Deprecated: build a Pipeline with New instead.
-	Collector = core.Collector
-	// NumericCollector randomizes purely numeric tuples (Algorithm 4);
-	// it remains the building block for the ERM/SGD subsystem.
-	NumericCollector = core.NumericCollector
-	// Aggregator estimates means and frequencies from legacy reports.
-	//
-	// Deprecated: use Pipeline.Add and Pipeline.Snapshot instead.
-	Aggregator = core.Aggregator
-	// CollectorReport is one user's randomized submission under the
-	// legacy mixed-schema Collector.
-	//
-	// Deprecated: the unified submission type is Report.
-	CollectorReport = core.Report
-)
-
-// NewCollector builds the mixed-schema collector: numeric attributes are
-// perturbed with numFactory (PM or HM) and categorical attributes with
-// oracleFactory (usually OUE), each at budget eps/k with
-// k = max(1, min(d, floor(eps/2.5))).
-//
-// Deprecated: build a Pipeline with New instead; it routes each user to a
-// mean, frequency, or range task at the full budget eps.
-func NewCollector(s *Schema, eps float64, numFactory MechanismFactory, oracleFactory OracleFactory) (*Collector, error) {
-	return core.NewCollector(s, eps, numFactory, oracleFactory)
-}
+// NumericCollector randomizes purely numeric tuples (Algorithm 4); it is
+// the building block of the ERM/SGD subsystem. The mixed numeric and
+// categorical collector of Section IV-C is a Pipeline's JointTask.
+type NumericCollector = core.NumericCollector
 
 // NewNumericCollector builds the numeric-only collector (Algorithm 4).
 func NewNumericCollector(factory MechanismFactory, eps float64, d int) (*NumericCollector, error) {
 	return core.NewNumericCollector(factory, eps, d)
 }
-
-// NewAggregator builds the aggregator matching a collector's configuration.
-//
-// Deprecated: use a Pipeline; it aggregates every task's reports into one
-// sharded state.
-func NewAggregator(c *Collector) *Aggregator { return core.NewAggregator(c) }
 
 // KFor returns the paper's Eq. 12 sampling parameter
 // k = max(1, min(d, floor(eps/2.5))).
@@ -200,119 +162,11 @@ const (
 	SVM = erm.SVM
 )
 
-// Legacy collection pipeline (HTTP aggregation service for the two-stack
-// API; the unified service is PipelineServer/PipelineClient).
-type (
-	// Server is the legacy aggregator HTTP front end.
-	//
-	// Deprecated: use NewPipelineServer, which serves every task on one
-	// /v1/report + /v1/query route pair.
-	Server = transport.Server
-	// Client randomizes locally and submits legacy reports over HTTP.
-	//
-	// Deprecated: use NewPipelineClient, which supports contexts and
-	// batch submission.
-	Client = transport.Client
-)
+// RangeConfig tunes the range-query task registered with WithRange
+// (bucket count, grid resolution, oracle choice, task split).
+type RangeConfig = rangequery.Config
 
-// NewServer wraps an aggregator in an HTTP handler; sink (optional, may be
-// nil) receives every accepted raw frame for persistence.
-//
-// Deprecated: use NewPipelineServer.
-func NewServer(agg *Aggregator, sink transport.Sink) *Server { return transport.NewServer(agg, sink) }
-
-// NewClient builds an HTTP client submitting through the given collector.
-// Options configure the underlying HTTP behavior (WithHTTPClient,
-// WithTimeout).
-//
-// Deprecated: use NewPipelineClient.
-func NewClient(baseURL string, col *Collector, opts ...ClientOption) *Client {
-	return transport.NewClient(baseURL, col, transport.ResolveClientOptions(opts))
-}
-
-// EncodeCollectorReport serializes a legacy report into its v1 binary
-// wire frame.
-//
-// Deprecated: use EncodeReport, which writes the versioned envelope.
-func EncodeCollectorReport(rep CollectorReport) []byte { return transport.EncodeReport(rep) }
-
-// DecodeCollectorReport parses a legacy v1 binary wire frame.
-//
-// Deprecated: use DecodeReport, which also accepts legacy frames.
-func DecodeCollectorReport(frame []byte) (CollectorReport, error) {
-	return transport.DecodeReport(frame)
-}
-
-// Multi-dimensional range queries (hierarchical intervals + 2-D grids).
-// The standalone range stack is legacy; new code registers a range task
-// on the Pipeline with WithRange and queries Result.Range.
-type (
-	// RangeConfig tunes the range-query task (bucket count, grid
-	// resolution, oracle choice, task split); it is shared by WithRange
-	// and the legacy NewRangeCollector.
-	RangeConfig = rangequery.Config
-	// RangeCollector randomizes tuples into range reports: each user
-	// answers one sub-task — a dyadic interval of one numeric attribute
-	// at a sampled tree depth, or a grid cell of one attribute pair.
-	//
-	// Deprecated: build a Pipeline with New(s, eps, WithRange(cfg)).
-	RangeCollector = rangequery.Collector
-	// RangeAggregator estimates 1-D and 2-D range-query answers from
-	// range reports.
-	//
-	// Deprecated: use Pipeline.Add and Result.Range instead.
-	RangeAggregator = rangequery.Aggregator
-	// RangeReport is one user's randomized range-query submission under
-	// the legacy stack; the unified Report carries it as a TaskRange
-	// payload.
-	RangeReport = rangequery.Report
-	// RangeService answers range queries over HTTP (see
-	// Server.EnableRange).
-	//
-	// Deprecated: PipelineServer answers range queries on /v1/query.
-	RangeService = transport.RangeService
-	// RangeClient randomizes locally and submits range reports over
-	// HTTP.
-	//
-	// Deprecated: use NewPipelineClient.
-	RangeClient = transport.RangeClient
-)
-
-// NewRangeCollector builds the range-query collector over the numeric
-// attributes of schema s at total per-user budget eps. The zero RangeConfig
-// selects B=256 hierarchy buckets, g=8 grids and OUE.
-//
-// Deprecated: build a Pipeline with New(s, eps, WithRange(cfg)).
-func NewRangeCollector(s *Schema, eps float64, cfg RangeConfig) (*RangeCollector, error) {
-	return rangequery.NewCollector(s, eps, cfg)
-}
-
-// NewRangeAggregator builds the aggregator matching a range collector's
-// configuration.
-//
-// Deprecated: use a Pipeline built with WithRange.
-func NewRangeAggregator(c *RangeCollector) *RangeAggregator {
-	return rangequery.NewAggregator(c)
-}
-
-// NewRangeClient builds an HTTP client submitting through the given range
-// collector. Options configure the underlying HTTP behavior
-// (WithHTTPClient, WithTimeout).
-//
-// Deprecated: use NewPipelineClient.
-func NewRangeClient(baseURL string, col *RangeCollector, opts ...ClientOption) *RangeClient {
-	return transport.NewRangeClient(baseURL, col, transport.ResolveClientOptions(opts))
-}
-
-// EncodeRangeReport serializes a range report into its legacy v1 binary
-// wire frame.
-//
-// Deprecated: use EncodeReport with a TaskRange Report.
-func EncodeRangeReport(rep RangeReport) []byte { return transport.EncodeRangeReport(rep) }
-
-// DecodeRangeReport parses a legacy v1 binary range-report wire frame.
-//
-// Deprecated: use DecodeReport, which also accepts legacy range frames.
-func DecodeRangeReport(frame []byte) (RangeReport, error) {
-	return transport.DecodeRangeReport(frame)
-}
+// RangeReport is one user's randomized range-query submission, carried
+// by a TaskRange Report: a dyadic interval of one numeric attribute at a
+// sampled tree depth, or a grid cell of one attribute pair.
+type RangeReport = rangequery.Report

@@ -43,11 +43,11 @@ func TestFacadeCollectorPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := NewCollector(s, 2, PM, OUE)
+	p, err := New(s, 2, WithMechanism(PM), WithOracle(OUE))
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := NewAggregator(col)
+	joint := p.JointTask()
 	r := NewRand(2)
 	const n = 60000
 	trueSum := 0.0
@@ -58,22 +58,23 @@ func TestFacadeCollectorPipeline(t *testing.T) {
 		tup.Cat[1] = i % 3
 		trueSum += tup.Num[0]
 		counts[tup.Cat[1]]++
-		rep, err := col.Perturb(tup, r)
+		rep, err := joint.Randomize(tup, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := agg.Add(rep); err != nil {
+		if err := p.Add(rep); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mean, err := agg.MeanEstimate(0)
+	res := p.Snapshot()
+	mean, err := res.Mean("x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(mean-trueSum/n) > 0.1 {
 		t.Errorf("mean estimate %v, want %v", mean, trueSum/n)
 	}
-	freqs, err := agg.FreqEstimates(1)
+	freqs, err := res.Freq("c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,54 +90,34 @@ func TestFacadeWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := NewCollector(s, 1, HM, OUE)
+	p, err := New(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tup := NewTuple(s)
 	tup.Num[0] = 0.5
-	rep, err := col.Perturb(tup, NewRand(3))
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// Legacy v1 frames still round-trip through the deprecated shims and
-	// decode through the unified envelope decoder as joint reports.
-	legacy := EncodeCollectorReport(rep)
-	back, err := DecodeCollectorReport(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Entries) != 1 || back.Entries[0].Value != rep.Entries[0].Value {
-		t.Error("legacy wire round trip mismatch")
-	}
-	unified, err := DecodeReport(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unified.Task != TaskJoint || unified.Entries[0].Value != rep.Entries[0].Value {
-		t.Errorf("legacy frame decoded as %v", unified.Task)
-	}
-
-	// The unified envelope round-trips pipeline reports.
-	p, err := New(s, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Routed and joint-task reports both round-trip through the envelope.
 	prep, err := p.Randomize(tup, NewRand(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := EncodeReport(prep)
+	jrep, err := p.JointTask().Randomize(tup, NewRand(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeReport(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Task != TaskMean || len(got.Entries) != 1 || got.Entries[0].Value != prep.Entries[0].Value {
-		t.Error("envelope round trip mismatch")
+	for _, rep := range []Report{prep, jrep} {
+		frame, err := EncodeReport(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeReport(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Task != rep.Task || len(got.Entries) != 1 || got.Entries[0].Value != rep.Entries[0].Value {
+			t.Errorf("%v envelope round trip mismatch", rep.Task)
+		}
 	}
 }
 

@@ -13,11 +13,10 @@ func TestFacadeRangeQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := NewRangeCollector(sch, 1, RangeConfig{Buckets: 32, GridCells: 4})
+	p, err := New(sch, 1, WithRange(RangeConfig{Buckets: 32, GridCells: 4}), WithTaskWeight(TaskMean, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := NewRangeAggregator(col)
 
 	const n = 20_000
 	inX := 0.0
@@ -29,32 +28,37 @@ func TestFacadeRangeQueries(t *testing.T) {
 		if tup.Num[0] >= -0.5 && tup.Num[0] <= 0.5 {
 			inX++
 		}
-		rep, err := col.Perturb(tup, r)
+		rep, err := p.Randomize(tup, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := agg.Add(rep); err != nil {
+		if err := p.Add(rep); err != nil {
 			t.Fatal(err)
 		}
 
 		// Wire round trip preserves the report.
-		back, err := DecodeRangeReport(EncodeRangeReport(rep))
+		frame, err := EncodeReport(rep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back.Kind != rep.Kind {
+		back, err := DecodeReport(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Task != TaskRange || back.Range.Kind != rep.Range.Kind {
 			t.Fatal("wire round trip changed report kind")
 		}
 	}
 
-	got, err := agg.Range1D(0, -0.5, 0.5)
+	res := p.Snapshot()
+	got, err := res.Range(RangeQuery{Attr: "x", Lo: -0.5, Hi: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got-inX/n) > 0.2 {
 		t.Errorf("Range1D = %.4f, true %.4f", got, inX/n)
 	}
-	got2, err := agg.Range2D(0, 1, -1, 1, -1, 1)
+	got2, err := res.Range(RangeQuery{Attr: "x", Lo: -1, Hi: 1, Attr2: "y", Lo2: -1, Hi2: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ type (
 	// PipelineOption configures a Pipeline under construction.
 	PipelineOption = pipeline.Option
 	// Task is one randomization sub-task of a Pipeline (MeanTask,
-	// FreqTask, or RangeTask).
+	// FreqTask, RangeTask, or JointTask).
 	Task = pipeline.Task
 	// TaskKind tags a task and its reports.
 	TaskKind = pipeline.TaskKind
@@ -46,6 +46,10 @@ type (
 	FreqTask = pipeline.FreqTask
 	// RangeTask answers 1-D/2-D range queries.
 	RangeTask = pipeline.RangeTask
+	// JointTask is the paper's Algorithm 4 over the whole schema: it
+	// samples k of all d attributes, numeric and categorical, at eps/k
+	// each (Pipeline.JointTask; never routed).
+	JointTask = pipeline.JointTask
 	// GradientTask randomizes clipped user gradients for federated
 	// LDP-SGD (registered with WithGradient).
 	GradientTask = pipeline.GradientTask
@@ -57,8 +61,7 @@ type (
 	// Model is an immutable published model snapshot (Trainer.Model).
 	Model = pipeline.Model
 	// Report is one user's randomized submission: exactly one task's
-	// payload under a task tag. (The legacy Algorithm-4 report type is
-	// CollectorReport.)
+	// payload under a task tag.
 	Report = pipeline.Report
 	// Result is an immutable snapshot of a Pipeline's aggregate state
 	// with Mean/Freq/Range queries.
@@ -80,8 +83,7 @@ const (
 	TaskFreq = pipeline.TaskFreq
 	// TaskRange tags range-task reports.
 	TaskRange = pipeline.TaskRange
-	// TaskJoint tags legacy Algorithm-4 mixed reports (decoded from v1
-	// wire frames; new pipelines never produce it).
+	// TaskJoint tags Algorithm-4 mixed reports (made by JointTask).
 	TaskJoint = pipeline.TaskJoint
 	// TaskGradient tags federated SGD gradient reports.
 	TaskGradient = pipeline.TaskGradient
@@ -183,16 +185,15 @@ func EncodeReport(rep Report) ([]byte, error) { return transport.EncodeEnvelope(
 // batch upload can be assembled without per-report allocation.
 func AppendReport(dst []byte, rep Report) ([]byte, error) { return transport.AppendEnvelope(dst, rep) }
 
-// DecodeReportBatch decodes a buffer of concatenated report frames (any
-// format DecodeReport accepts, freely mixed) into a columnar batch, ready
-// for Pipeline.AddBatch, and returns the number of frames decoded.
+// DecodeReportBatch decodes a buffer of concatenated report frames into a
+// columnar batch, ready for Pipeline.AddBatch, and returns the number of
+// frames decoded.
 func DecodeReportBatch(body []byte, b *ReportBatch) (int, error) {
 	return transport.DecodeBatch(body, b)
 }
 
-// DecodeReport parses any report frame the system has ever produced into
-// a unified report: v2 envelopes, legacy v1 Algorithm-4 frames (as
-// TaskJoint), and legacy v1 range frames (as TaskRange).
+// DecodeReport parses one report's wire envelope. Frames in the retired
+// version-1 formats fail with an unsupported-version or bad-magic error.
 func DecodeReport(frame []byte) (Report, error) { return transport.DecodeEnvelope(frame) }
 
 // The unified HTTP pipeline.
@@ -311,8 +312,8 @@ func WithReadyChecks(checks ...ReadyCheck) ServerOption {
 	return transport.WithReadyChecks(checks...)
 }
 
-// ReplayPipeline rebuilds pipeline state from persisted frames (any
-// format DecodeReport accepts), e.g. at startup with reportlog.Replay.
+// ReplayPipeline rebuilds pipeline state from persisted report frames,
+// e.g. at startup with reportlog.Replay.
 func ReplayPipeline(p *Pipeline, frames func(fn func(payload []byte) error) error) (int, error) {
 	return transport.ReplayPipeline(p, frames)
 }

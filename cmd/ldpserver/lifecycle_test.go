@@ -4,12 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -85,6 +88,31 @@ func statsN(t *testing.T, base string) int64 {
 		t.Fatal(err)
 	}
 	return body.N
+}
+
+// metricValue reads an unlabelled series off /metrics.
+func metricValue(t *testing.T, base, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("no %s series on /metrics", name)
+	return 0
 }
 
 // TestSIGTERMDrainsAndLosesNothing is the clean-restart durability
@@ -170,6 +198,9 @@ func TestSIGTERMDrainsAndLosesNothing(t *testing.T) {
 	waitReady(t, base)
 	if got := statsN(t, base); got != n {
 		t.Errorf("post-restart stats n = %d, want %d (acked reports lost across clean restart)", got, n)
+	}
+	if got := metricValue(t, base, "ldp_wal_replayed_reports"); got != n {
+		t.Errorf("ldp_wal_replayed_reports = %v, want %d", got, n)
 	}
 	sigterm(cmd)
 }

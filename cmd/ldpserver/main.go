@@ -229,20 +229,34 @@ func run(args []string) error {
 	var wal *reportlog.Writer
 	var walClose func() error
 	if *logdir != "" {
+		start := time.Now()
 		stats, err := reportlog.Recover(*logdir)
 		if err != nil {
 			return fmt.Errorf("recover report log: %w", err)
 		}
+		recovered := time.Since(start)
+		var replayed time.Duration
+		n := 0
 		if stats.Records > 0 {
-			n, err := transport.ReplayPipeline(p, func(fn func([]byte) error) error {
+			start = time.Now()
+			n, err = transport.ReplayPipeline(p, func(fn func([]byte) error) error {
 				_, err := reportlog.Replay(*logdir, fn)
 				return err
 			})
 			if err != nil {
 				return fmt.Errorf("replay report log: %w", err)
 			}
-			logger.Info("replayed report log", "reports", n, "dir", *logdir)
+			replayed = time.Since(start)
 		}
+		rate := 0.0
+		if replayed > 0 {
+			rate = float64(n) / replayed.Seconds()
+		}
+		logger.Info("replayed report log", "reports", n, "dir", *logdir, "torn_tail", stats.Truncated,
+			"recover", recovered, "replay", replayed, "reports_per_s", int64(rate))
+		reg.Gauge("ldp_wal_recover_duration_ns", "Duration of the boot-time report log recovery scan in nanoseconds.").Set(recovered.Nanoseconds())
+		reg.Gauge("ldp_wal_replay_duration_ns", "Duration of the boot-time report log replay in nanoseconds.").Set(replayed.Nanoseconds())
+		reg.Gauge("ldp_wal_replayed_reports", "Reports replayed from the report log at boot.").Set(int64(n))
 		var logOpts []reportlog.Option
 		if *logSync > 0 {
 			logOpts = append(logOpts, reportlog.WithGroupCommit(*logSync, *logSyncB))

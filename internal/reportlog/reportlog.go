@@ -8,15 +8,16 @@
 //	[ length uint32 ][ crc32(payload) uint32 ][ payload ... ]
 //
 // Segments are named seg-NNNNNN.log and rotated when they exceed the
-// configured size. Replay stops cleanly at the first torn or corrupt
-// record (the expected state after a crash mid-write); Recover truncates
-// that tail so appends can resume safely.
+// configured size. Replay parses records in place from one read window
+// and stops cleanly at the first torn or corrupt record (the expected
+// state after a crash mid-write); Recover truncates that tail so appends
+// can resume safely. A failing read is not a torn tail: Replay returns it
+// as an error and Recover changes no file. A failed write or fsync sticks:
+// the Writer refuses appends from then on and Healthy reports it.
 package reportlog
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -32,10 +33,6 @@ const (
 	segPrefix  = "seg-"
 	segSuffix  = ".log"
 )
-
-// ErrCorruptRecord reports a record whose checksum did not match; it is
-// wrapped in errors returned by Replay when strict verification is on.
-var ErrCorruptRecord = errors.New("reportlog: corrupt record")
 
 // MaxRecordSize bounds a single record payload (a defensive limit against
 // reading a garbage length field as a huge allocation).
@@ -149,10 +146,10 @@ func (w *Writer) flusher() {
 			return
 		case <-t.C:
 			w.mu.Lock()
-			if err := w.commitLocked(); err != nil && w.ferr == nil {
-				// Surface the failure on the next Append/Sync instead of
-				// losing records silently.
-				w.ferr = err
+			if w.ferr == nil {
+				// A failure sticks in ferr and surfaces on the next
+				// Append/Sync instead of losing records silently.
+				_ = w.commitLocked()
 			}
 			w.mu.Unlock()
 		}
@@ -241,16 +238,20 @@ func (w *Writer) Append(payload []byte) error {
 }
 
 // writeLocked is the unbuffered append path: header + payload straight
-// to the file.
+// to the file. A failed write may leave a torn record, and replay stops
+// at a torn record, so the failure sticks in ferr like a failed commit:
+// a later record appended after it would never be replayed.
 func (w *Writer) writeLocked(payload []byte) error {
 	var hdr [headerSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 	if _, err := w.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("reportlog: write header: %w", err)
+		w.ferr = fmt.Errorf("reportlog: write header: %w", err)
+		return w.ferr
 	}
 	if _, err := w.f.Write(payload); err != nil {
-		return fmt.Errorf("reportlog: write payload: %w", err)
+		w.ferr = fmt.Errorf("reportlog: write payload: %w", err)
+		return w.ferr
 	}
 	w.size += int64(headerSize + len(payload))
 	return nil
@@ -259,18 +260,21 @@ func (w *Writer) writeLocked(payload []byte) error {
 // commitLocked makes every buffered record durable: one write(2) for the
 // whole buffer, one fsync. Without group commit it is a plain fsync (and
 // skipped entirely while nothing new has been written).
+//
+// Any failure sticks in ferr: after a failed fsync the kernel may already
+// have dropped the dirty pages, so a later fsync that succeeds proves
+// nothing about the records the failed one covered. Append, Sync and
+// Healthy report the failure from then on.
 func (w *Writer) commitLocked() error {
 	if len(w.buf) > 0 {
 		n, err := w.f.Write(w.buf)
+		w.size += int64(n)
 		if err != nil {
 			// A short write leaves a torn record at the tail — exactly the
-			// state Recover handles. Drop the unwritten suffix and stop
-			// accepting appends via the sticky error.
-			w.size += int64(n)
+			// state Recover handles. The unwritten suffix is dropped.
 			w.ferr = fmt.Errorf("reportlog: flush: %w", err)
 			return w.ferr
 		}
-		w.size += int64(n)
 		w.buf = w.buf[:0]
 		w.dirty = true
 	}
@@ -278,16 +282,17 @@ func (w *Writer) commitLocked() error {
 		return nil
 	}
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("reportlog: sync: %w", err)
+		w.ferr = fmt.Errorf("reportlog: sync: %w", err)
+		return w.ferr
 	}
 	w.dirty = false
 	return nil
 }
 
 // Healthy reports whether the Writer can still accept appends: nil
-// normally, the sticky failure once a flush — foreground or the interval
-// flusher's — has failed. Readiness probes use it, so a server whose disk
-// died stops attracting traffic before clients see their 500s.
+// normally, the sticky failure once a write or fsync — foreground or the
+// interval flusher's — has failed. Readiness probes use it, so a server
+// whose disk died stops attracting traffic before clients see their 500s.
 func (w *Writer) Healthy() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -339,31 +344,40 @@ type ReplayStats struct {
 	Offset  int64
 }
 
-// replayBufSize is the bufio window replay reads segments through: large
-// enough that a restart streams the log in quarter-megabyte read(2)
-// calls instead of two tiny reads per record.
+// replayBufSize is the read window replay parses segments in: large
+// enough that a restart streams the log in quarter-megabyte read(2) calls
+// instead of two small reads per record.
 const replayBufSize = 256 << 10
 
 // Replay feeds every intact record in order to fn. It stops without error
 // at the first torn or corrupt record — the normal post-crash state —
-// reporting it in the stats. An error from fn aborts the replay.
+// reporting it in the stats: a record cut short by the end of its
+// segment, a length over MaxRecordSize, or a checksum mismatch. Any other
+// read failure is returned as an error naming the segment, as is an error
+// from fn, which aborts the replay.
 //
-// The payload slice is reused between calls: fn must copy anything it
-// keeps past its return (the transport decoders already do — they unpack
-// frames into their own structures).
+// Records are parsed in place from one read window, so the payload slice
+// is only valid during the call: fn must copy anything it keeps past its
+// return (the transport decoders already do — they unpack frames into
+// their own structures).
 func Replay(dir string, fn func(payload []byte) error) (ReplayStats, error) {
+	return replayWindow(dir, replayBufSize, fn)
+}
+
+// replayWindow is Replay with the initial read window size as a parameter,
+// so tests can push records across window edges with small inputs.
+func replayWindow(dir string, window int, fn func([]byte) error) (ReplayStats, error) {
 	var stats ReplayStats
 	segs, err := Segments(dir)
 	if err != nil {
 		return stats, err
 	}
-	// One read window and one payload buffer serve the whole replay:
-	// restart time is dominated by decode-and-fold, and this keeps the I/O
-	// side at two large buffers instead of two allocations per record.
-	br := bufio.NewReaderSize(nil, replayBufSize)
-	var payload []byte
+	// One window serves the whole replay: restart time is dominated by
+	// decode-and-fold, and this keeps the I/O side at one buffer instead
+	// of two copies per record.
+	s := scanner{buf: make([]byte, window)}
 	for _, seg := range segs {
-		ok, err := replaySegment(dir, seg, br, &payload, fn, &stats)
+		ok, err := s.segment(dir, seg, fn, &stats)
 		if err != nil {
 			return stats, err
 		}
@@ -374,53 +388,97 @@ func Replay(dir string, fn func(payload []byte) error) (ReplayStats, error) {
 	return stats, nil
 }
 
-func replaySegment(dir, seg string, br *bufio.Reader, payload *[]byte, fn func([]byte) error, stats *ReplayStats) (bool, error) {
+// scanner parses records in place from a read window: buf[r:w] holds the
+// bytes read but not yet consumed.
+type scanner struct {
+	buf  []byte
+	r, w int
+}
+
+func (s *scanner) segment(dir, seg string, fn func([]byte) error, stats *ReplayStats) (bool, error) {
 	f, err := os.Open(filepath.Join(dir, seg))
 	if err != nil {
 		return false, fmt.Errorf("reportlog: open %s: %w", seg, err)
 	}
 	defer f.Close()
-	br.Reset(f)
+	return s.scan(f, seg, fn, stats)
+}
+
+// scan feeds every intact record of one segment to fn. It returns true at
+// a clean end of the segment, and false with a nil error at a torn tail,
+// which it records in stats.
+func (s *scanner) scan(rd io.Reader, seg string, fn func([]byte) error, stats *ReplayStats) (bool, error) {
+	s.r, s.w = 0, 0
 	var offset int64
-	var hdr [headerSize]byte
+	// tail stops at a torn tail — a short read at the end of the segment,
+	// an oversized length or a checksum mismatch — and returns any other
+	// read failure as an error.
+	tail := func(err error) (bool, error) {
+		if err != nil && err != io.EOF {
+			return false, fmt.Errorf("reportlog: read %s: %w", seg, err)
+		}
+		stats.Truncated, stats.Segment, stats.Offset = true, seg, offset
+		return false, nil
+	}
 	for {
-		_, err := io.ReadFull(br, hdr[:])
-		if err == io.EOF {
-			return true, nil
+		if err := s.fill(rd, headerSize); err != nil {
+			if err == io.EOF && s.w == s.r {
+				return true, nil
+			}
+			return tail(err) // torn header
 		}
-		if err != nil { // torn header
-			stats.Truncated, stats.Segment, stats.Offset = true, seg, offset
-			return false, nil
-		}
+		hdr := s.buf[s.r : s.r+headerSize]
 		length := binary.LittleEndian.Uint32(hdr[0:4])
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
 		if length > MaxRecordSize {
-			stats.Truncated, stats.Segment, stats.Offset = true, seg, offset
-			return false, nil
+			return tail(nil)
 		}
-		if int(length) > cap(*payload) {
-			*payload = make([]byte, length)
+		rec := headerSize + int(length)
+		if err := s.fill(rd, rec); err != nil {
+			return tail(err) // torn payload
 		}
-		p := (*payload)[:length]
-		if _, err := io.ReadFull(br, p); err != nil { // torn payload
-			stats.Truncated, stats.Segment, stats.Offset = true, seg, offset
-			return false, nil
-		}
+		p := s.buf[s.r+headerSize : s.r+rec]
 		if crc32.ChecksumIEEE(p) != sum {
-			stats.Truncated, stats.Segment, stats.Offset = true, seg, offset
-			return false, nil
+			return tail(nil)
 		}
 		if err := fn(p); err != nil {
 			return false, err
 		}
+		s.r += rec
 		stats.Records++
-		offset += int64(headerSize) + int64(length)
+		offset += int64(rec)
 	}
+}
+
+// fill reads until at least need unconsumed bytes are buffered. Before
+// reading it moves the unconsumed bytes (the start of a record that
+// straddles the end of the window) to the front, growing the window first
+// when the record is longer than it. It returns io.EOF when the segment
+// ends first and any other read error as is.
+func (s *scanner) fill(rd io.Reader, need int) error {
+	if s.w-s.r >= need {
+		return nil
+	}
+	buf := s.buf
+	if need > len(buf) {
+		buf = make([]byte, max(need, min(2*len(buf), headerSize+MaxRecordSize)))
+	}
+	s.w = copy(buf, s.buf[s.r:s.w])
+	s.r, s.buf = 0, buf
+	for s.w < need {
+		n, err := rd.Read(s.buf[s.w:])
+		s.w += n
+		if s.w < need && err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Recover scans the log and truncates any torn or corrupt tail (and removes
 // any later segments) so that appending can resume on a clean prefix. It
-// returns the replay stats of the intact prefix.
+// returns the replay stats of the intact prefix. A read failure is
+// returned as an error before any file is changed.
 func Recover(dir string) (ReplayStats, error) {
 	stats, err := Replay(dir, func([]byte) error { return nil })
 	if err != nil {

@@ -113,45 +113,3 @@ func SplitFrames(buf []byte) ([][]byte, error) {
 	}
 	return frames, nil
 }
-
-// replayBatchSize bounds how many replayed frames accumulate in the
-// columnar batch before a flush into the pipeline.
-const replayBatchSize = 1024
-
-// ReplayPipeline rebuilds pipeline state from persisted envelope frames,
-// e.g. at server startup with reportlog.Replay. Frames are decoded into a
-// pooled columnar batch and folded in replayBatchSize chunks through
-// Pipeline.AddBatch, so replaying a large log runs at batch-ingest speed.
-// It returns the number of frames decoded; on error, frames of the
-// failing chunk may not have been folded.
-func ReplayPipeline(p *pipeline.Pipeline, frames func(fn func(payload []byte) error) error) (int, error) {
-	b := pipeline.GetBatch()
-	defer pipeline.PutBatch(b)
-	n := 0
-	flush := func() error {
-		if b.Len() == 0 {
-			return nil
-		}
-		if err := p.AddBatch(b); err != nil {
-			return fmt.Errorf("transport: replay frames %d..%d: %w", n-b.Len(), n-1, err)
-		}
-		b.Reset()
-		return nil
-	}
-	err := frames(func(payload []byte) error {
-		mark := b.Mark()
-		if err := decodeFrameInto(payload, b); err != nil {
-			b.Truncate(mark)
-			return fmt.Errorf("transport: replay frame %d: %w", n, err)
-		}
-		n++
-		if b.Len() >= replayBatchSize {
-			return flush()
-		}
-		return nil
-	})
-	if err != nil {
-		return n, err
-	}
-	return n, flush()
-}

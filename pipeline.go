@@ -313,7 +313,9 @@ func WithReadyChecks(checks ...ReadyCheck) ServerOption {
 }
 
 // ReplayPipeline rebuilds pipeline state from persisted report frames,
-// e.g. at startup with reportlog.Replay.
+// e.g. at startup with reportlog.Replay. Frames decode and validate on
+// GOMAXPROCS workers and fold in log order, so the state is bit-identical
+// to a serial replay's.
 func ReplayPipeline(p *Pipeline, frames func(fn func(payload []byte) error) error) (int, error) {
 	return transport.ReplayPipeline(p, frames)
 }

@@ -40,8 +40,10 @@
 // GetBatch/PutBatch recycling buffers) and Pipeline.AddBatch validates
 // the whole batch up front, then folds one contiguous span per shard
 // under a single lock acquisition — zero allocations per report in the
-// steady state. Per-report Add remains as a thin wrapper; AppendReport
-// assembles batch uploads client-side without per-report allocation.
+// steady state. Per-report Add is AddBatch on a one-report batch, so
+// every report passes the same single validator and the same fold
+// however it arrives; AppendReport assembles batch uploads client-side
+// without per-report allocation.
 //
 // The query hot path is epoch-cached: every fold advances a per-shard
 // atomic epoch, and Pipeline.View serves one immutable memoized Result

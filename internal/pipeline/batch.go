@@ -20,7 +20,8 @@ import (
 //
 // A batch is built by the appenders (StartEntryReport/AppendNumeric/
 // AppendValue/AppendBits, AppendRangeValue/AppendRangeBits, or the
-// convenience Append), is read by Pipeline.AddBatch, and is not safe for
+// convenience Append), is read by Pipeline.AddBatch (and by Add, which
+// carries its one report in a pooled batch), and is not safe for
 // concurrent mutation. Reports can be materialized individually with
 // Report for inspection and tests; the hot path never does.
 type ReportBatch struct {
@@ -29,11 +30,14 @@ type ReportBatch struct {
 	nGrad  int        // number of gradient reports (lets AddBatch skip the trainer lock entirely)
 	entOff []int32    // entry span of report i: [entOff[i], entOff[i+1])
 
-	// Entry columns (mean/freq/joint reports), one element per entry.
-	entAttr   []int32
-	entKind   []uint8 // core.EntryKind
+	// Entry columns (mean/freq/joint/gradient reports), one element per
+	// entry. Attributes and values are as wide as Report's fields, so
+	// Append carries any report exactly as given and the validator judges
+	// the values the report actually holds.
+	entAttr   []int
+	entKind   []uint8 // core.EntryKind, kept as given (unknown kinds too)
 	entNum    []float64
-	entCat    []int32
+	entCat    []int
 	entBitOff []int32
 	entBitLen []int32
 
@@ -41,12 +45,12 @@ type ReportBatch struct {
 	// TaskRange and is -1 otherwise.
 	rngIdx    []int32
 	rngKind   []uint8 // rangequery.ReportKind
-	rngAttr   []int32
-	rngDepth  []int32
-	rngPair   []int32
-	rngVal    []int32
+	rngAttr   []int
+	rngDepth  []int
+	rngPair   []int
+	rngVal    []int
 	rngBitOff []int32
-	rngBitLen []int32
+	rngBitLen []int32 // -1 marks a value (GRR) response
 
 	// bits is the shared flat buffer behind every bitset span.
 	bits []uint64
@@ -55,7 +59,9 @@ type ReportBatch struct {
 // NewReportBatch returns an empty batch. Callers that ingest continuously
 // should prefer GetBatch/PutBatch, which recycle grown buffers.
 func NewReportBatch() *ReportBatch {
-	return &ReportBatch{entOff: make([]int32, 1, 64)}
+	// bits starts non-nil (the empty literal allocates nothing), so even a
+	// zero-word bitset span is a non-nil bitset, never a value response.
+	return &ReportBatch{entOff: make([]int32, 1, 64), bits: []uint64{}}
 }
 
 var batchPool = sync.Pool{New: func() any { return NewReportBatch() }}
@@ -173,8 +179,8 @@ func (b *ReportBatch) StartGradientReport(round int32) {
 }
 
 // appendEntry grows every entry column by one element.
-func (b *ReportBatch) appendEntry(attr int, kind core.EntryKind, num float64, cat, bitOff, bitLen int32) {
-	b.entAttr = append(b.entAttr, int32(attr))
+func (b *ReportBatch) appendEntry(attr int, kind core.EntryKind, num float64, cat int, bitOff, bitLen int32) {
+	b.entAttr = append(b.entAttr, attr)
 	b.entKind = append(b.entKind, uint8(kind))
 	b.entNum = append(b.entNum, num)
 	b.entCat = append(b.entCat, cat)
@@ -191,7 +197,7 @@ func (b *ReportBatch) AppendNumeric(attr int, v float64) {
 // AppendValue attaches a value-type (GRR) categorical entry to the current
 // entry report.
 func (b *ReportBatch) AppendValue(attr int, v int) {
-	b.appendEntry(attr, core.EntryCategoricalValue, 0, int32(v), 0, 0)
+	b.appendEntry(attr, core.EntryCategoricalValue, 0, v, 0, 0)
 }
 
 // AppendBits attaches a unary-encoding categorical entry to the current
@@ -209,7 +215,7 @@ func (b *ReportBatch) AppendBits(attr int, words int) []uint64 {
 // AppendRangeValue appends a whole range report with a value-type (GRR)
 // oracle response.
 func (b *ReportBatch) AppendRangeValue(kind rangequery.ReportKind, attr, depth, pair, value int) {
-	b.appendRange(kind, attr, depth, pair, int32(value), 0, 0)
+	b.appendRange(kind, attr, depth, pair, value, 0, -1)
 }
 
 // AppendRangeBits appends a whole range report with a unary-encoding
@@ -222,15 +228,15 @@ func (b *ReportBatch) AppendRangeBits(kind rangequery.ReportKind, attr, depth, p
 	return dst
 }
 
-func (b *ReportBatch) appendRange(kind rangequery.ReportKind, attr, depth, pair int, val, bitOff, bitLen int32) {
+func (b *ReportBatch) appendRange(kind rangequery.ReportKind, attr, depth, pair, val int, bitOff, bitLen int32) {
 	b.task = append(b.task, TaskRange)
 	b.round = append(b.round, 0)
 	b.entOff = append(b.entOff, int32(len(b.entAttr)))
 	b.rngIdx = append(b.rngIdx, int32(len(b.rngKind)))
 	b.rngKind = append(b.rngKind, uint8(kind))
-	b.rngAttr = append(b.rngAttr, int32(attr))
-	b.rngDepth = append(b.rngDepth, int32(depth))
-	b.rngPair = append(b.rngPair, int32(pair))
+	b.rngAttr = append(b.rngAttr, attr)
+	b.rngDepth = append(b.rngDepth, depth)
+	b.rngPair = append(b.rngPair, pair)
 	b.rngVal = append(b.rngVal, val)
 	b.rngBitOff = append(b.rngBitOff, bitOff)
 	b.rngBitLen = append(b.rngBitLen, bitLen)
@@ -252,7 +258,10 @@ func (b *ReportBatch) growBits(words int) []uint64 {
 }
 
 // Append adds one materialized report to the batch, copying its payload
-// into the columns. The report is not retained.
+// into the columns exactly as given: an unknown entry kind keeps its
+// byte, and a range response is a bitset exactly when Resp.Bits is
+// non-nil (even if empty), so the validator sees what the report holds.
+// The report is not retained.
 func (b *ReportBatch) Append(rep Report) {
 	if rep.Task == TaskRange {
 		rr := rep.Range
@@ -268,14 +277,12 @@ func (b *ReportBatch) Append(rep Report) {
 	} else {
 		b.StartEntryReport(rep.Task)
 	}
-	for _, e := range rep.Entries {
-		switch e.Kind {
-		case core.EntryNumeric:
-			b.AppendNumeric(e.Attr, e.Value)
-		case core.EntryCategoricalBits:
+	for i := range rep.Entries {
+		e := &rep.Entries[i]
+		if e.Kind == core.EntryCategoricalBits {
 			copy(b.AppendBits(e.Attr, len(e.Resp.Bits)), e.Resp.Bits)
-		default:
-			b.AppendValue(e.Attr, e.Resp.Value)
+		} else {
+			b.appendEntry(e.Attr, e.Kind, e.Value, e.Resp.Value, 0, 0)
 		}
 	}
 }
@@ -286,56 +293,43 @@ func (b *ReportBatch) Append(rep Report) {
 func (b *ReportBatch) Report(i int) Report {
 	if b.task[i] == TaskRange {
 		rr := b.rangeAlias(i)
-		rr.Resp.Bits = append(freq.Bitset(nil), rr.Resp.Bits...)
-		if len(rr.Resp.Bits) == 0 {
-			rr.Resp.Bits = nil
+		if rr.Resp.Bits != nil {
+			rr.Resp.Bits = append(freq.Bitset{}, rr.Resp.Bits...)
 		}
 		return Report{Task: TaskRange, Range: rr}
 	}
 	lo, hi := b.entOff[i], b.entOff[i+1]
 	entries := make([]core.Entry, 0, hi-lo)
 	for e := lo; e < hi; e++ {
-		ent := b.entryAlias(e)
-		if ent.Resp.Bits != nil {
-			ent.Resp.Bits = append(freq.Bitset(nil), ent.Resp.Bits...)
+		ent := core.Entry{Attr: b.entAttr[e], Kind: core.EntryKind(b.entKind[e]), Value: b.entNum[e]}
+		if ent.Kind == core.EntryCategoricalBits {
+			off := b.entBitOff[e]
+			ent.Resp.Bits = append(freq.Bitset{}, b.bits[off:off+b.entBitLen[e]]...)
+		} else {
+			ent.Resp.Value = b.entCat[e]
 		}
 		entries = append(entries, ent)
 	}
 	return Report{Task: b.task[i], Round: b.round[i], Entries: entries}
 }
 
-// entryAlias materializes entry e as a core.Entry whose bitset (if any)
-// aliases the batch's shared bit buffer: a stack value for validation and
-// folding, not for retention.
-func (b *ReportBatch) entryAlias(e int32) core.Entry {
-	ent := core.Entry{Attr: int(b.entAttr[e]), Kind: core.EntryKind(b.entKind[e])}
-	switch ent.Kind {
-	case core.EntryNumeric:
-		ent.Value = b.entNum[e]
-	case core.EntryCategoricalBits:
-		off := b.entBitOff[e]
-		ent.Resp.Bits = freq.Bitset(b.bits[off : off+b.entBitLen[e]])
-	default:
-		ent.Resp.Value = int(b.entCat[e])
-	}
-	return ent
-}
-
-// rangeAlias materializes range report i with the same aliasing contract
-// as entryAlias. The caller must have checked task[i] == TaskRange.
+// rangeAlias materializes range report i as a stack value whose bitset
+// (if any) aliases the batch's shared bit buffer: for validation and
+// folding, not for retention. The caller must have checked task[i] ==
+// TaskRange.
 func (b *ReportBatch) rangeAlias(i int) rangequery.Report {
 	r := b.rngIdx[i]
 	rep := rangequery.Report{
 		Kind:  rangequery.ReportKind(b.rngKind[r]),
-		Attr:  int(b.rngAttr[r]),
-		Depth: int(b.rngDepth[r]),
-		Pair:  int(b.rngPair[r]),
+		Attr:  b.rngAttr[r],
+		Depth: b.rngDepth[r],
+		Pair:  b.rngPair[r],
 	}
-	if n := b.rngBitLen[r]; n > 0 {
+	if n := b.rngBitLen[r]; n < 0 {
+		rep.Resp.Value = b.rngVal[r]
+	} else {
 		off := b.rngBitOff[r]
 		rep.Resp.Bits = freq.Bitset(b.bits[off : off+n])
-	} else {
-		rep.Resp.Value = int(b.rngVal[r])
 	}
 	return rep
 }

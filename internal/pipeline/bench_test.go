@@ -26,8 +26,10 @@ func benchReports(b *testing.B, p *Pipeline, n int) []Report {
 	return reps
 }
 
-// BenchmarkPipelineAdd measures the per-report ingest wrapper. The fold
-// itself is allocation-free; steady state should report 0 allocs/op.
+// BenchmarkPipelineAdd measures Add: one report copied into a pooled
+// batch, validated and folded as a one-report AddBatch. No served path
+// folds single reports, but the steady state must still report 0
+// allocs/op (the CI allocation guard runs it).
 func BenchmarkPipelineAdd(b *testing.B) {
 	p, err := New(testSchema(b), 1, WithShards(4))
 	if err != nil {
@@ -43,10 +45,10 @@ func BenchmarkPipelineAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineAddBR measures the per-report ingest wrapper on the
-// 16-attribute BR census schema — the configuration the ingest-throughput
-// experiment records — so the single-report slow path is benchmarked at
-// production width, not just on the 3-attribute test schema.
+// BenchmarkPipelineAddBR measures Add on the 16-attribute BR census
+// schema — the server's configuration — so the per-report copy, check
+// and fold are benchmarked at production width, not just on the
+// 3-attribute test schema.
 func BenchmarkPipelineAddBR(b *testing.B) {
 	c := dataset.NewBR()
 	p, err := New(c.Schema(), 1, WithShards(1))
@@ -214,7 +216,7 @@ func BenchmarkViewRefreshIncremental(b *testing.B) {
 // with a live telemetry registry wired in: the CI allocation guard holds
 // it to 0 allocs/op, proving instrumentation does not reintroduce
 // allocation on the batch ingest path, and its ns/report stands next to
-// the uninstrumented number in BENCH_pipeline.json as the overhead bound.
+// BenchmarkPipelineAddBatch/size1024's.
 func BenchmarkAddBatchInstrumented(b *testing.B) {
 	const bs = 1024
 	p, err := New(testSchema(b), 1, WithShards(4), WithTelemetry(telemetry.NewRegistry()))

@@ -265,21 +265,6 @@ func (tr *Trainer) foldBatch(b *ReportBatch) {
 	}
 }
 
-// foldOne folds a single validated gradient report.
-func (tr *Trainer) foldOne(rep Report) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	m := tr.model.Load()
-	if m.Done || int(rep.Round) != m.Round {
-		tr.stale.Add(1)
-		return
-	}
-	for _, e := range rep.Entries {
-		tr.sum[e.Attr] += e.Value
-	}
-	tr.bump(m)
-}
-
 // foldLocked folds entry span [lo, hi) of a batch's gradient report. The
 // caller holds tr.mu.
 func (tr *Trainer) foldLocked(round int32, b *ReportBatch, lo, hi int) {

@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -182,65 +184,65 @@ func TestGradientBatchIngest(t *testing.T) {
 	}
 }
 
+// gradientRejects lists malformed gradient reports with the error each
+// must be rejected with: gp is newGradientPipeline(t, 2, 4) (dimension 2,
+// rounds 0 and 1) and noGrad a pipeline without a gradient task.
+// TestPipelineValidation drives them through every entry point.
+func gradientRejects(t testing.TB, gp, noGrad *Pipeline) []rejectCase {
+	good := onesReport(t, gp, 0)
+	return []rejectCase{
+		{"unregistered", noGrad, good, "pipeline: gradient report but no gradient task is registered"},
+		{"negative round", gp, Report{Task: TaskGradient, Round: -1, Entries: good.Entries},
+			"pipeline: gradient round -1 outside [0,2)"},
+		{"round beyond horizon", gp, Report{Task: TaskGradient, Round: 99, Entries: good.Entries},
+			"pipeline: gradient round 99 outside [0,2)"},
+		{"no entries", gp, Report{Task: TaskGradient}, "pipeline: gradient report with 0 entries for dimension 2"},
+		{"too many entries", gp, Report{Task: TaskGradient, Entries: []core.Entry{
+			{Attr: 0, Kind: core.EntryNumeric, Value: 1},
+			{Attr: 1, Kind: core.EntryNumeric, Value: 1},
+			{Attr: 0, Kind: core.EntryNumeric, Value: 1},
+		}}, "pipeline: gradient report with 3 entries for dimension 2"},
+		{"coordinate out of range", gp, Report{Task: TaskGradient, Entries: []core.Entry{
+			{Attr: 7, Kind: core.EntryNumeric, Value: 1},
+		}}, "pipeline: gradient coordinate 7 outside [0,2)"},
+		{"non-numeric entry", gp, Report{Task: TaskGradient, Entries: []core.Entry{
+			{Attr: 0, Kind: core.EntryCategoricalValue},
+		}}, "pipeline: gradient report with non-numeric entry"},
+		{"NaN value", gp, Report{Task: TaskGradient, Entries: []core.Entry{
+			{Attr: 0, Kind: core.EntryNumeric, Value: math.NaN()},
+		}}, "pipeline: non-finite gradient coordinate value"},
+	}
+}
+
+// TestGradientValidation: a malformed gradient report at the tail of a
+// batch of good ones rejects the whole batch before any state change —
+// the trainer's included — and the error names the bad report.
 func TestGradientValidation(t *testing.T) {
 	p := newGradientPipeline(t, 2, 4)
 	noGrad, err := New(testSchema(t), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mean := Report{Task: TaskMean, Entries: []core.Entry{{Attr: 0, Kind: core.EntryNumeric, Value: 0.5}}}
 	good := onesReport(t, p, 0)
-
-	cases := []struct {
-		name string
-		p    *Pipeline
-		rep  Report
-		want string
-	}{
-		{"unregistered", noGrad, good, "no gradient task"},
-		{"negative round", p, Report{Task: TaskGradient, Round: -1, Entries: good.Entries}, "round"},
-		{"round beyond horizon", p, Report{Task: TaskGradient, Round: 99, Entries: good.Entries}, "round"},
-		{"no entries", p, Report{Task: TaskGradient}, "entries"},
-		{"too many entries", p, Report{Task: TaskGradient, Entries: []core.Entry{
-			{Attr: 0, Kind: core.EntryNumeric, Value: 1},
-			{Attr: 1, Kind: core.EntryNumeric, Value: 1},
-			{Attr: 0, Kind: core.EntryNumeric, Value: 1},
-		}}, "entries"},
-		{"coordinate out of range", p, Report{Task: TaskGradient, Entries: []core.Entry{
-			{Attr: 7, Kind: core.EntryNumeric, Value: 1},
-		}}, "coordinate"},
-		{"non-numeric entry", p, Report{Task: TaskGradient, Entries: []core.Entry{
-			{Attr: 0, Kind: core.EntryCategoricalValue},
-		}}, "non-numeric"},
-		{"NaN value", p, Report{Task: TaskGradient, Entries: []core.Entry{
-			{Attr: 0, Kind: core.EntryNumeric, Value: math.NaN()},
-		}}, "non-finite"},
-	}
-	for _, tc := range cases {
+	for _, tc := range gradientRejects(t, p, noGrad) {
 		t.Run(tc.name, func(t *testing.T) {
-			// Scalar and batch validators must agree.
-			if err := tc.p.Add(tc.rep); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("Add error = %v, want containing %q", err, tc.want)
-			}
 			b := NewReportBatch()
+			b.Append(mean)
+			if tc.p.Trainer() != nil {
+				b.Append(good)
+				b.Append(good)
+			}
+			want := fmt.Sprintf("pipeline: report %d: %s", b.Len(), tc.msg)
 			b.Append(tc.rep)
-			if err := tc.p.AddBatch(b); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("AddBatch error = %v, want containing %q", err, tc.want)
+			before := tc.p.StateSnapshot()
+			if err := tc.p.AddBatch(b); err == nil || err.Error() != want {
+				t.Errorf("AddBatch error = %v, want %q", err, want)
+			}
+			if !reflect.DeepEqual(tc.p.StateSnapshot(), before) {
+				t.Error("a rejected batch changed the aggregate state")
 			}
 		})
-	}
-
-	// A bad gradient report rejects the whole batch before any state
-	// change — including the trainer's.
-	b := NewReportBatch()
-	for i := 0; i < 3; i++ {
-		b.Append(good)
-	}
-	b.Append(Report{Task: TaskGradient, Round: 99, Entries: good.Entries})
-	if err := p.AddBatch(b); err == nil {
-		t.Fatal("batch with bad gradient report accepted")
-	}
-	if p.Trainer().Accepted() != 0 || p.Trainer().Stale() != 0 {
-		t.Fatalf("rejected batch mutated trainer: accepted=%d stale=%d", p.Trainer().Accepted(), p.Trainer().Stale())
 	}
 }
 

@@ -36,9 +36,10 @@
 // ReportBatch — AddBatch validates a whole batch without locks, then
 // folds one contiguous span per shard under a single lock acquisition,
 // with shard accumulators kept as flat sums and raw support counts so the
-// steady-state fold allocates nothing. Per-report Add is a thin wrapper
-// locking one shard, and Snapshot/Merge never take a global lock — they
-// visit shards one at a time, so ingest on the other shards proceeds
+// steady-state fold allocates nothing. Per-report Add is AddBatch on a
+// one-report batch, so every report, however it arrives, passes the same
+// validator and the same fold. Snapshot/Merge never take a global lock —
+// they visit shards one at a time, so ingest on the other shards proceeds
 // concurrently.
 package pipeline
 
@@ -161,7 +162,7 @@ func WithRange(cfg rangequery.Config) Option {
 }
 
 // WithShards sets the number of aggregation shards. More shards admit more
-// concurrent Add calls; estimates are independent of the shard count. The
+// concurrent ingest calls; estimates are independent of the shard count. The
 // default is 1; servers should set it near GOMAXPROCS.
 func WithShards(n int) Option {
 	return func(c *config) error {
@@ -272,13 +273,8 @@ type Pipeline struct {
 	joint   *JointTask
 	shards  []*shard
 	cursor  atomic.Uint64
-	sticky  atomic.Uint64
 	view    viewCache
 	met     pipelineMetrics // nil handles (no-ops) without WithTelemetry
-
-	// rangeCheck validates range reports against the immutable collector
-	// configuration without touching any shard state.
-	rangeCheck *rangequery.Accumulator
 
 	// lvlBase maps a schema attribute to the base of its hierarchy level
 	// slots (lvlBase[attr]+depth-1 is the slot of one level; -1 for
@@ -289,16 +285,16 @@ type Pipeline struct {
 	gridSlots int
 
 	// attrMeta caches per-attribute validation facts (kind, cardinality,
-	// bitset width) so the batch validator is a table-driven columnar loop
-	// instead of per-entry schema chasing.
+	// bitset width) so the report validator is a table-driven columnar
+	// loop instead of per-entry schema chasing.
 	attrMeta []attrMeta
 }
 
 // attrMeta is the per-attribute validation table entry.
 type attrMeta struct {
 	numeric bool
-	card    int32 // categorical cardinality
-	words   int32 // freq.BitsetWords(card)
+	card    int // categorical cardinality
+	words   int // freq.BitsetWords(card)
 }
 
 // New builds a pipeline for schema s at total per-user budget eps. Tasks
@@ -356,7 +352,6 @@ func New(s *schema.Schema, eps float64, opts ...Option) (*Pipeline, error) {
 		}
 		p.rangeT = &RangeTask{col: col}
 		p.tasks = append(p.tasks, p.rangeT)
-		p.rangeCheck = rangequery.NewAccumulator(col)
 	}
 	if cfg.gradient != nil {
 		t, err := newGradientTask(eps, *cfg.gradient, cfg.mechFactory)
@@ -411,8 +406,8 @@ func New(s *schema.Schema, eps float64, opts ...Option) (*Pipeline, error) {
 	for i, a := range s.Attrs {
 		m := attrMeta{numeric: a.Kind == schema.Numeric}
 		if !m.numeric {
-			m.card = int32(a.Cardinality)
-			m.words = int32(freq.BitsetWords(a.Cardinality))
+			m.card = a.Cardinality
+			m.words = freq.BitsetWords(a.Cardinality)
 		}
 		p.attrMeta[i] = m
 	}
@@ -557,182 +552,160 @@ func (p *Pipeline) Randomize(t schema.Tuple, r *rng.Rand) (Report, error) {
 	return task.Randomize(t, r)
 }
 
-// Add folds one report into the aggregate state. Reports are validated
-// against the schema and oracle shapes before any state changes, so a
-// malformed (or adversarial) report never corrupts or panics the
-// aggregator. Safe for concurrent use; only one shard is locked. Batch
-// ingest should prefer AddBatch, which amortizes the validation pass and
-// the lock round-trip over many reports.
-//
-// Validation runs through the same table-driven fast path the batch
-// validator uses (attrMeta carries the per-attribute facts), so the
-// per-report cost is a few array lookups; the scalar checkers run only to
-// rebuild the precise error message once a report is known bad.
+// Add folds one report into the aggregate state: it is AddBatch on a
+// one-report batch. The report is copied into a pooled ReportBatch,
+// checked by the one validator and folded by the same span fold, so a
+// report is accepted, rejected and counted the same way however it
+// arrives, and a malformed (or adversarial) report never corrupts or
+// panics the aggregator. Safe for concurrent use. Ingest of many reports
+// should build one batch and call AddBatch, which pays the copy, the pool
+// round trip and the shard lock once per batch instead of once per report.
 func (p *Pipeline) Add(rep Report) error {
-	if err := p.validateFast(&rep); err != nil {
+	b := GetBatch()
+	defer PutBatch(b)
+	b.Append(rep)
+	if err := p.checkReport(b, 0); err != nil {
 		p.met.rejectReports.Inc()
 		return err
 	}
-	if rep.Task == TaskGradient {
-		p.trainer.foldOne(rep)
-		return nil
-	}
-	// Shard selection is sticky: keep folding into the shard the previous
-	// Add used — an uncontended writer then works one cache-hot shard
-	// instead of spraying single reports across the whole set (which also
-	// keeps incremental view rebuilds to one dirty shard) — and move to
-	// the round-robin cursor's next shard only when the sticky shard's
-	// lock is actually contended, which is what spreads concurrent
-	// writers onto distinct shards. The single-shard pipeline (the common
-	// CLI and test configuration) skips all of it.
-	var idx uint64
-	if n := uint64(len(p.shards)); n > 1 {
-		idx = p.sticky.Load()
-		sh := p.shards[idx]
-		if sh.mu.TryLock() {
-			p.foldReport(sh, &rep)
-			sh.epoch.Add(1)
-			sh.mu.Unlock()
-			return nil
-		}
-		c := p.cursor.Add(1)
-		if n&(n-1) == 0 {
-			idx = c & (n - 1)
-		} else {
-			idx = c % n
-		}
-		p.sticky.Store(idx)
-	}
-	sh := p.shards[idx]
-	sh.mu.Lock()
-	p.foldReport(sh, &rep)
-	sh.epoch.Add(1)
-	sh.mu.Unlock()
+	p.foldBatch(b)
 	return nil
 }
 
-// validateFast accept-checks a report with the columnar validation table
-// and falls back to the scalar checkers (validate) only to produce the
-// detailed error. It accepts exactly the reports validate accepts.
-func (p *Pipeline) validateFast(rep *Report) error {
-	switch rep.Task {
+// Validate checks a report against the pipeline configuration without
+// touching any shard state: the check Add runs before folding, with the
+// same error.
+func (p *Pipeline) Validate(rep Report) error {
+	b := GetBatch()
+	defer PutBatch(b)
+	b.Append(rep)
+	return p.checkReport(b, 0)
+}
+
+// ValidateBatch checks every report of a decoded batch against the
+// pipeline configuration without folding anything — exactly the
+// validation AddBatch runs first. A server persisting accepted frames
+// before folding them (write-ahead order) uses it to reject a bad batch
+// before the log grows. The error names the first bad report.
+func (p *Pipeline) ValidateBatch(b *ReportBatch) error {
+	for i := range b.task {
+		if err := p.checkReport(b, i); err != nil {
+			return fmt.Errorf("pipeline: report %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// checkReport is the pipeline's one report validator. It checks report i
+// of a batch against the configuration: a registered task, the entry
+// count, schema bounds, each entry's kind against both the task and the
+// attribute, finite values, and the oracle's response shape (an all-ones
+// bitset folded into a value-type estimator would poison every domain
+// value). It reads only configuration that is immutable after New, so it
+// needs no lock; the per-attribute facts come from the attrMeta table, the
+// accept path allocates nothing, and the first check that fails returns
+// its error.
+func (p *Pipeline) checkReport(b *ReportBatch, i int) error {
+	task := b.task[i]
+	lo, hi := int(b.entOff[i]), int(b.entOff[i+1])
+	n, d := hi-lo, len(p.attrMeta)
+	var wantBits bool
+	switch task {
+	case TaskMean:
+		if p.mean == nil {
+			return fmt.Errorf("pipeline: mean report but no mean task is registered")
+		}
+	case TaskFreq:
+		if p.freq == nil {
+			return fmt.Errorf("pipeline: freq report but no freq task is registered")
+		}
+		wantBits = p.freq.bits
+	case TaskJoint:
+		wantBits = p.joint.bits
 	case TaskRange:
 		if p.rangeT == nil {
 			return fmt.Errorf("pipeline: range report but no range task is registered")
 		}
-		return p.rangeCheck.Validate(rep.Range)
+		return p.rangeT.col.Validate(b.rangeAlias(i))
 	case TaskGradient:
-		if p.grad == nil || len(rep.Entries) == 0 || len(rep.Entries) > p.grad.dim ||
-			rep.Round < 0 || int(rep.Round) >= p.grad.rounds {
-			return p.validate(*rep)
+		// The round check is configuration-only: whether the round is the
+		// one collecting is decided at fold time under the trainer lock (a
+		// stale round is dropped, not an error).
+		g := p.grad
+		if g == nil {
+			return fmt.Errorf("pipeline: gradient report but no gradient task is registered")
 		}
-		for i := range rep.Entries {
-			e := &rep.Entries[i]
-			if e.Kind != core.EntryNumeric || e.Attr < 0 || e.Attr >= p.grad.dim ||
-				math.IsNaN(e.Value) || math.IsInf(e.Value, 0) {
-				return p.validate(*rep)
+		if r := b.round[i]; r < 0 || int(r) >= g.rounds {
+			return fmt.Errorf("pipeline: gradient round %d outside [0,%d)", r, g.rounds)
+		}
+		if n == 0 || n > g.dim {
+			return fmt.Errorf("pipeline: gradient report with %d entries for dimension %d", n, g.dim)
+		}
+		for e := lo; e < hi; e++ {
+			switch a, v := b.entAttr[e], b.entNum[e]; {
+			case core.EntryKind(b.entKind[e]) != core.EntryNumeric:
+				return fmt.Errorf("pipeline: gradient report with non-numeric entry")
+			case a < 0 || a >= g.dim:
+				return fmt.Errorf("pipeline: gradient coordinate %d outside [0,%d)", a, g.dim)
+			case math.IsNaN(v) || math.IsInf(v, 0):
+				return fmt.Errorf("pipeline: non-finite gradient coordinate value")
 			}
 		}
 		return nil
-	}
-	n, d := len(rep.Entries), len(p.attrMeta)
-	var wantBits, jointCats bool
-	switch rep.Task {
-	case TaskMean:
-		if p.mean == nil || n == 0 || n > d {
-			return p.validate(*rep)
-		}
-		jointCats = true
-	case TaskFreq:
-		if p.freq == nil || n == 0 || n > d {
-			return p.validate(*rep)
-		}
-		wantBits, jointCats = p.freq.bits, true
-	case TaskJoint:
-		if n == 0 || n > d {
-			return p.validate(*rep)
-		}
-		wantBits, jointCats = p.joint.bits, p.joint.oracles != nil
 	default:
-		return p.validate(*rep)
+		return fmt.Errorf("pipeline: unknown task %v", task)
 	}
-	for i := range rep.Entries {
-		e := &rep.Entries[i]
-		ok := false
-		if e.Attr >= 0 && e.Attr < d {
-			m := p.attrMeta[e.Attr]
-			switch e.Kind {
-			case core.EntryNumeric:
-				ok = rep.Task != TaskFreq && m.numeric && !math.IsNaN(e.Value) && !math.IsInf(e.Value, 0)
-			case core.EntryCategoricalBits:
-				ok = rep.Task != TaskMean && !m.numeric && wantBits && jointCats &&
-					len(e.Resp.Bits) == int(m.words)
-			case core.EntryCategoricalValue:
-				ok = rep.Task != TaskMean && !m.numeric && !wantBits && jointCats &&
-					e.Resp.Value >= 0 && e.Resp.Value < int(m.card)
-			}
+	if n == 0 || n > d {
+		return fmt.Errorf("pipeline: %v report with %d entries", task, n)
+	}
+	for e := lo; e < hi; e++ {
+		kind := core.EntryKind(b.entKind[e])
+		switch {
+		case task == TaskMean && kind != core.EntryNumeric:
+			return fmt.Errorf("pipeline: mean report with non-numeric entry")
+		case task == TaskFreq && kind == core.EntryNumeric:
+			return fmt.Errorf("pipeline: freq report with numeric entry")
+		case task == TaskJoint && kind != core.EntryNumeric && p.joint.oracles == nil:
+			return fmt.Errorf("pipeline: joint categorical entry but schema has no categorical attributes")
 		}
-		if !ok {
-			return p.validate(*rep)
+		a := b.entAttr[e]
+		if a < 0 || a >= d {
+			return fmt.Errorf("pipeline: entry attribute %d out of range [0,%d)", a, d)
+		}
+		m := &p.attrMeta[a]
+		switch kind {
+		case core.EntryNumeric:
+			if !m.numeric {
+				return fmt.Errorf("pipeline: numeric entry for categorical attribute %q", p.sch.Attrs[a].Name)
+			}
+			if v := b.entNum[e]; math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("pipeline: non-finite value for attribute %q", p.sch.Attrs[a].Name)
+			}
+		case core.EntryCategoricalBits:
+			if m.numeric {
+				return fmt.Errorf("pipeline: categorical entry for numeric attribute %q", p.sch.Attrs[a].Name)
+			}
+			if !wantBits {
+				return fmt.Errorf("pipeline: bitset entry for attribute %q, but the oracle reports single values", p.sch.Attrs[a].Name)
+			}
+			if w := int(b.entBitLen[e]); w != m.words {
+				return fmt.Errorf("pipeline: attribute %q bitset has %d words, want %d", p.sch.Attrs[a].Name, w, m.words)
+			}
+		case core.EntryCategoricalValue:
+			if m.numeric {
+				return fmt.Errorf("pipeline: categorical entry for numeric attribute %q", p.sch.Attrs[a].Name)
+			}
+			if wantBits {
+				return fmt.Errorf("pipeline: value entry for attribute %q, but the oracle reports bitsets", p.sch.Attrs[a].Name)
+			}
+			if v := b.entCat[e]; v < 0 || v >= m.card {
+				return fmt.Errorf("pipeline: attribute %q value %d outside [0,%d)", p.sch.Attrs[a].Name, v, m.card)
+			}
+		default:
+			return fmt.Errorf("pipeline: unknown entry kind %d", kind)
 		}
 	}
 	return nil
-}
-
-// foldReport folds one validated report into a shard. The caller holds the
-// shard lock.
-func (p *Pipeline) foldReport(sh *shard, rep *Report) {
-	switch rep.Task {
-	case TaskMean:
-		for i := range rep.Entries {
-			e := &rep.Entries[i]
-			sh.meanSum[e.Attr] += e.Value
-		}
-		sh.nMean++
-	case TaskFreq:
-		for i := range rep.Entries {
-			e := &rep.Entries[i]
-			if e.Kind == core.EntryCategoricalBits {
-				freq.FoldBits(sh.freqCounts[e.Attr], e.Resp.Bits)
-			} else {
-				sh.freqCounts[e.Attr][e.Resp.Value]++
-			}
-			sh.freqN[e.Attr]++
-			sh.dFreq.set(int(e.Attr))
-		}
-		sh.nFreq++
-	case TaskJoint:
-		for i := range rep.Entries {
-			e := &rep.Entries[i]
-			switch e.Kind {
-			case core.EntryNumeric:
-				sh.jointSum[e.Attr] += e.Value
-			case core.EntryCategoricalBits:
-				freq.FoldBits(sh.jointCounts[e.Attr], e.Resp.Bits)
-				sh.jointN[e.Attr]++
-				sh.dJoint.set(int(e.Attr))
-			default:
-				sh.jointCounts[e.Attr][e.Resp.Value]++
-				sh.jointN[e.Attr]++
-				sh.dJoint.set(int(e.Attr))
-			}
-		}
-		sh.nJoint++
-	case TaskRange:
-		sh.rangeAcc.FoldValidated(rep.Range)
-		sh.markRange(p, &rep.Range)
-		sh.nRange++
-	}
-}
-
-// markRange sets the dirty bit of the one component a validated range
-// report touched. The caller holds the shard lock.
-func (sh *shard) markRange(p *Pipeline, rr *rangequery.Report) {
-	if rr.Kind == rangequery.KindHier {
-		sh.dLevel.set(p.lvlBase[rr.Attr] + rr.Depth - 1)
-	} else {
-		sh.dGrid.set(rr.Pair)
-	}
 }
 
 // AddBatch folds a whole batch of reports into the aggregate state. The
@@ -751,11 +724,11 @@ func (p *Pipeline) AddBatch(b *ReportBatch) error {
 	if b.Len() == 0 {
 		return nil
 	}
-	if err := p.validateBatch(b); err != nil {
+	if err := p.ValidateBatch(b); err != nil {
 		p.met.rejectBatches.Inc()
 		return err
 	}
-	p.foldBatchValidated(b)
+	p.AddBatchValidated(b)
 	return nil
 }
 
@@ -769,14 +742,21 @@ func (p *Pipeline) AddBatchValidated(b *ReportBatch) {
 	if b.Len() == 0 {
 		return
 	}
-	p.foldBatchValidated(b)
+	p.foldBatch(b)
+	// Telemetry is per batch, not per report: two atomic adds amortized
+	// over the whole batch keep the fold loops uninstrumented. Add's
+	// one-report batches are not batch calls and are not counted here.
+	p.met.batches.Inc()
+	p.met.batchSize.Observe(int64(b.Len()))
 }
 
-// minBatchSpan is the smallest per-shard chunk foldBatchValidated will
-// split a batch into (see the splitting comment there).
+// minBatchSpan is the smallest per-shard chunk foldBatch will split a
+// batch into (see the splitting comment there).
 const minBatchSpan = 64
 
-func (p *Pipeline) foldBatchValidated(b *ReportBatch) {
+// foldBatch folds a validated, non-empty batch: gradient reports into the
+// trainer, everything else in per-shard spans.
+func (p *Pipeline) foldBatch(b *ReportBatch) {
 	n := b.Len()
 	// Gradient reports bypass the shards: round accumulation and the
 	// exactly-once round advance live on the Trainer, which folds every
@@ -810,10 +790,16 @@ func (p *Pipeline) foldBatchValidated(b *ReportBatch) {
 		}
 		sh.mu.Unlock()
 	}
-	// Telemetry is per batch, not per report: two atomic adds amortized
-	// over the whole batch keep the fold loops uninstrumented.
-	p.met.batches.Inc()
-	p.met.batchSize.Observe(int64(n))
+}
+
+// markRange sets the dirty bit of the one component a validated range
+// report touched. The caller holds the shard lock.
+func (sh *shard) markRange(p *Pipeline, rr *rangequery.Report) {
+	if rr.Kind == rangequery.KindHier {
+		sh.dLevel.set(p.lvlBase[rr.Attr] + rr.Depth - 1)
+	} else {
+		sh.dGrid.set(rr.Pair)
+	}
 }
 
 // foldSpan folds the validated reports [lo, hi) of a batch into a shard:
@@ -873,278 +859,6 @@ func (p *Pipeline) foldSpan(sh *shard, b *ReportBatch, lo, hi int) int {
 		}
 	}
 	return folded
-}
-
-// Validate checks a report's shape against the pipeline configuration —
-// schema bounds, entry kinds, oracle response shapes (an all-ones bitset
-// folded into a value-type estimator would poison every domain value) —
-// without touching any shard state, so a whole batch can be validated
-// before any of it is folded in. Add validates implicitly.
-func (p *Pipeline) Validate(rep Report) error { return p.validate(rep) }
-
-func (p *Pipeline) validate(rep Report) error {
-	if rep.Task == TaskRange {
-		if p.rangeT == nil {
-			return fmt.Errorf("pipeline: range report but no range task is registered")
-		}
-		return p.rangeCheck.Validate(rep.Range)
-	}
-	if rep.Task == TaskGradient {
-		if err := p.checkGradientHeader(rep.Round, len(rep.Entries)); err != nil {
-			return err
-		}
-		for _, e := range rep.Entries {
-			if err := p.checkGradientEntry(e); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	wantBits, err := p.checkHeader(rep.Task, len(rep.Entries))
-	if err != nil {
-		return err
-	}
-	for _, e := range rep.Entries {
-		if err := p.checkEntry(rep.Task, e, wantBits); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// validateBatch checks every report of a batch against the pipeline
-// configuration without touching any shard state or materializing any
-// report: a table-driven loop over the columns (attrMeta carries the
-// per-attribute facts) with every accept-path check inlined; the detailed
-// error message is rebuilt through the scalar path only once a report is
-// known bad.
-func (p *Pipeline) validateBatch(b *ReportBatch) error {
-	meta := p.attrMeta
-	kinds, attrs := b.entKind, b.entAttr
-	d := len(meta)
-	hasMean, hasFreq := p.mean != nil, p.freq != nil
-	hasJoint := p.joint.oracles != nil
-	freqBits := hasFreq && p.freq.bits
-	jointBits := p.joint.bits
-	for i := 0; i < len(b.task); i++ {
-		task := b.task[i]
-		lo, hi := int(b.entOff[i]), int(b.entOff[i+1])
-		n := hi - lo
-		var wantBits, jointCats bool
-		switch task {
-		case TaskMean:
-			if !hasMean || n == 0 || n > d {
-				return p.validateSlow(b, i)
-			}
-			jointCats = true
-		case TaskFreq:
-			if !hasFreq || n == 0 || n > d {
-				return p.validateSlow(b, i)
-			}
-			wantBits, jointCats = freqBits, true
-		case TaskJoint:
-			if n == 0 || n > d {
-				return p.validateSlow(b, i)
-			}
-			wantBits, jointCats = jointBits, hasJoint
-		case TaskRange:
-			if p.rangeT == nil {
-				return fmt.Errorf("pipeline: report %d: range report but no range task is registered", i)
-			}
-			if err := p.rangeCheck.Validate(b.rangeAlias(i)); err != nil {
-				return fmt.Errorf("pipeline: report %d: %w", i, err)
-			}
-			continue
-		case TaskGradient:
-			if p.grad == nil || n == 0 || n > p.grad.dim ||
-				b.round[i] < 0 || int(b.round[i]) >= p.grad.rounds {
-				return p.validateSlow(b, i)
-			}
-			gdim := int32(p.grad.dim)
-			for e := lo; e < hi; e++ {
-				v := b.entNum[e]
-				if core.EntryKind(kinds[e]) != core.EntryNumeric ||
-					attrs[e] < 0 || attrs[e] >= gdim ||
-					math.IsNaN(v) || math.IsInf(v, 0) {
-					return p.validateSlow(b, i)
-				}
-			}
-			continue
-		default:
-			return p.validateSlow(b, i)
-		}
-		for e := lo; e < hi; e++ {
-			ok := false
-			if a := attrs[e]; a >= 0 && int(a) < d {
-				m := meta[a]
-				switch core.EntryKind(kinds[e]) {
-				case core.EntryNumeric:
-					v := b.entNum[e]
-					ok = task != TaskFreq && m.numeric && !math.IsNaN(v) && !math.IsInf(v, 0)
-				case core.EntryCategoricalBits:
-					ok = task != TaskMean && !m.numeric && wantBits && jointCats &&
-						b.entBitLen[e] == m.words
-				case core.EntryCategoricalValue:
-					v := b.entCat[e]
-					ok = task != TaskMean && !m.numeric && !wantBits && jointCats &&
-						v >= 0 && v < m.card
-				}
-			}
-			if !ok {
-				return p.validateSlow(b, i)
-			}
-		}
-	}
-	return nil
-}
-
-// validateSlow re-validates report i of a batch through the scalar
-// checkers to produce the precise error message. It only runs once the
-// fast columnar pass has found the report (or its header) bad.
-func (p *Pipeline) validateSlow(b *ReportBatch, i int) error {
-	task := b.task[i]
-	lo, hi := b.entOff[i], b.entOff[i+1]
-	if task == TaskGradient {
-		if err := p.checkGradientHeader(b.round[i], int(hi-lo)); err != nil {
-			return fmt.Errorf("pipeline: report %d: %w", i, err)
-		}
-		for e := lo; e < hi; e++ {
-			if err := p.checkGradientEntry(b.entryAlias(e)); err != nil {
-				return fmt.Errorf("pipeline: report %d: %w", i, err)
-			}
-		}
-		return fmt.Errorf("pipeline: report %d: invalid gradient entry", i)
-	}
-	wantBits, err := p.checkHeader(task, int(hi-lo))
-	if err != nil {
-		return fmt.Errorf("pipeline: report %d: %w", i, err)
-	}
-	for e := lo; e < hi; e++ {
-		if err := p.checkEntry(task, b.entryAlias(e), wantBits); err != nil {
-			return fmt.Errorf("pipeline: report %d: %w", i, err)
-		}
-	}
-	return fmt.Errorf("pipeline: report %d: invalid entry", i)
-}
-
-// checkGradientHeader validates the round tag and coordinate count of a
-// gradient report against the immutable trainer configuration. The check
-// is configuration-only — whether the round is the one currently
-// collecting is decided at fold time under the trainer lock (a stale
-// round is dropped, not an error).
-func (p *Pipeline) checkGradientHeader(round int32, entries int) error {
-	if p.grad == nil {
-		return fmt.Errorf("pipeline: gradient report but no gradient task is registered")
-	}
-	if round < 0 || int(round) >= p.grad.rounds {
-		return fmt.Errorf("pipeline: gradient round %d outside [0,%d)", round, p.grad.rounds)
-	}
-	if entries == 0 || entries > p.grad.dim {
-		return fmt.Errorf("pipeline: gradient report with %d entries for dimension %d", entries, p.grad.dim)
-	}
-	return nil
-}
-
-// checkGradientEntry validates one coordinate of a gradient report.
-func (p *Pipeline) checkGradientEntry(e core.Entry) error {
-	if e.Kind != core.EntryNumeric {
-		return fmt.Errorf("pipeline: gradient report with non-numeric entry")
-	}
-	if e.Attr < 0 || e.Attr >= p.grad.dim {
-		return fmt.Errorf("pipeline: gradient coordinate %d outside [0,%d)", e.Attr, p.grad.dim)
-	}
-	if math.IsNaN(e.Value) || math.IsInf(e.Value, 0) {
-		return fmt.Errorf("pipeline: non-finite gradient coordinate value")
-	}
-	return nil
-}
-
-// checkHeader validates the task tag and entry count of an entry-list
-// report and resolves the expected oracle response shape.
-func (p *Pipeline) checkHeader(task TaskKind, entries int) (wantBits bool, err error) {
-	d := p.sch.Dim()
-	switch task {
-	case TaskMean:
-		if p.mean == nil {
-			return false, fmt.Errorf("pipeline: mean report but no mean task is registered")
-		}
-		if entries == 0 || entries > d {
-			return false, fmt.Errorf("pipeline: mean report with %d entries", entries)
-		}
-		return false, nil
-	case TaskFreq:
-		if p.freq == nil {
-			return false, fmt.Errorf("pipeline: freq report but no freq task is registered")
-		}
-		if entries == 0 || entries > d {
-			return false, fmt.Errorf("pipeline: freq report with %d entries", entries)
-		}
-		return p.freq.bits, nil
-	case TaskJoint:
-		if entries == 0 || entries > d {
-			return false, fmt.Errorf("pipeline: joint report with %d entries", entries)
-		}
-		return p.joint.bits, nil
-	default:
-		return false, fmt.Errorf("pipeline: unknown task %v", task)
-	}
-}
-
-// checkEntry validates one entry of an entry-list report: schema bounds,
-// kind consistency with both the task and the attribute, and oracle
-// response shape. It allocates nothing on the accept path.
-func (p *Pipeline) checkEntry(task TaskKind, e core.Entry, wantBits bool) error {
-	switch task {
-	case TaskMean:
-		if e.Kind != core.EntryNumeric {
-			return fmt.Errorf("pipeline: mean report with non-numeric entry")
-		}
-	case TaskFreq:
-		if e.Kind == core.EntryNumeric {
-			return fmt.Errorf("pipeline: freq report with numeric entry")
-		}
-	case TaskJoint:
-		if e.Kind != core.EntryNumeric && p.joint.oracles == nil {
-			return fmt.Errorf("pipeline: joint categorical entry but schema has no categorical attributes")
-		}
-	}
-	d := p.sch.Dim()
-	if e.Attr < 0 || e.Attr >= d {
-		return fmt.Errorf("pipeline: entry attribute %d out of range [0,%d)", e.Attr, d)
-	}
-	a := p.sch.Attrs[e.Attr]
-	switch e.Kind {
-	case core.EntryNumeric:
-		if a.Kind != schema.Numeric {
-			return fmt.Errorf("pipeline: numeric entry for categorical attribute %q", a.Name)
-		}
-		if math.IsNaN(e.Value) || math.IsInf(e.Value, 0) {
-			return fmt.Errorf("pipeline: non-finite value for attribute %q", a.Name)
-		}
-	case core.EntryCategoricalBits:
-		if a.Kind != schema.Categorical {
-			return fmt.Errorf("pipeline: categorical entry for numeric attribute %q", a.Name)
-		}
-		if !wantBits {
-			return fmt.Errorf("pipeline: bitset entry for attribute %q, but the oracle reports single values", a.Name)
-		}
-		if want := freq.BitsetWords(a.Cardinality); len(e.Resp.Bits) != want {
-			return fmt.Errorf("pipeline: attribute %q bitset has %d words, want %d", a.Name, len(e.Resp.Bits), want)
-		}
-	case core.EntryCategoricalValue:
-		if a.Kind != schema.Categorical {
-			return fmt.Errorf("pipeline: categorical entry for numeric attribute %q", a.Name)
-		}
-		if wantBits {
-			return fmt.Errorf("pipeline: value entry for attribute %q, but the oracle reports bitsets", a.Name)
-		}
-		if e.Resp.Value < 0 || e.Resp.Value >= a.Cardinality {
-			return fmt.Errorf("pipeline: attribute %q value %d outside [0,%d)", a.Name, e.Resp.Value, a.Cardinality)
-		}
-	default:
-		return fmt.Errorf("pipeline: unknown entry kind %d", e.Kind)
-	}
-	return nil
 }
 
 // N returns the total number of reports aggregated so far (for the

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -330,52 +331,118 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// rejectCase is one malformed report and the error its pipeline must
+// reject it with.
+type rejectCase struct {
+	name string
+	p    *Pipeline
+	rep  Report
+	msg  string
+}
+
+// assertRejected drives one malformed report through every ingest entry
+// point — Validate, Add, ValidateBatch and AddBatch — and checks that each
+// rejects it with msg (the batch paths name the report first) and that
+// the aggregate state, trainer included, is unchanged.
+func assertRejected(t *testing.T, tc rejectCase) {
+	t.Helper()
+	before := tc.p.StateSnapshot()
+	b := NewReportBatch()
+	b.Append(tc.rep)
+	batchMsg := "pipeline: report 0: " + tc.msg
+	for _, c := range []struct {
+		path, want string
+		err        error
+	}{
+		{"Validate", tc.msg, tc.p.Validate(tc.rep)},
+		{"Add", tc.msg, tc.p.Add(tc.rep)},
+		{"ValidateBatch", batchMsg, tc.p.ValidateBatch(b)},
+		{"AddBatch", batchMsg, tc.p.AddBatch(b)},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("%s error = %v, want %q", c.path, c.err, c.want)
+		}
+	}
+	if !reflect.DeepEqual(tc.p.StateSnapshot(), before) {
+		t.Error("a rejected report changed the aggregate state")
+	}
+}
+
+// TestPipelineValidation holds the one table of malformed reports: every
+// row must be rejected by all four entry points with the same message,
+// because Add and Validate run the batch validator on a one-report batch.
 func TestPipelineValidation(t *testing.T) {
 	s := testSchema(t)
 	p, err := New(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grr, err := New(s, 1, WithOracle(func(e float64, k int) (freq.Oracle, error) { return freq.NewGRR(e, k) }))
+	grrOracle := WithOracle(func(e float64, k int) (freq.Oracle, error) { return freq.NewGRR(e, k) })
+	grr, err := New(s, 1, grrOracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rangeCfg := WithRange(rangequery.Config{Buckets: 32, GridCells: 2})
+	rangeOUE, err := New(s, 1, rangeCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rangeGRR, err := New(s, 1, grrOracle, rangeCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bits := freq.NewBitset(2)
-	cases := []struct {
-		name string
-		rep  Report
-		p    *Pipeline // nil: the OUE pipeline p
-	}{
-		{"unknown task", Report{Task: TaskKind(99)}, nil},
-		{"empty mean", Report{Task: TaskMean}, nil},
-		{"attr out of range", Report{Task: TaskMean, Entries: []core.Entry{{Attr: 9, Kind: core.EntryNumeric}}}, nil},
-		{"mean on categorical", Report{Task: TaskMean, Entries: []core.Entry{{Attr: 2, Kind: core.EntryNumeric}}}, nil},
-		{"nan value", Report{Task: TaskMean, Entries: []core.Entry{{Attr: 0, Kind: core.EntryNumeric, Value: math.NaN()}}}, nil},
-		{"freq with numeric entry", Report{Task: TaskFreq, Entries: []core.Entry{{Attr: 0, Kind: core.EntryNumeric}}}, nil},
-		{"bitset width", Report{Task: TaskFreq, Entries: []core.Entry{{Attr: 2, Kind: core.EntryCategoricalBits, Resp: freq.Response{Bits: append(bits, 0)}}}}, nil},
-		{"grr value range", Report{Task: TaskFreq, Entries: []core.Entry{{Attr: 2, Kind: core.EntryCategoricalValue, Resp: freq.Response{Value: 7}}}}, grr},
-		{"range without task", Report{Task: TaskRange}, nil},
-		{"joint attr out of range", Report{Task: TaskJoint, Entries: []core.Entry{{Attr: 99, Kind: core.EntryNumeric, Value: 1}}}, nil},
-		{"joint numeric on categorical", Report{Task: TaskJoint, Entries: []core.Entry{{Attr: 2, Kind: core.EntryNumeric, Value: 1}}}, nil},
-		{"joint bitset width", Report{Task: TaskJoint, Entries: []core.Entry{{Attr: 2, Kind: core.EntryCategoricalBits, Resp: freq.Response{Bits: append(bits, 0)}}}}, nil},
-		{"joint grr value range", Report{Task: TaskJoint, Entries: []core.Entry{{Attr: 2, Kind: core.EntryCategoricalValue, Resp: freq.Response{Value: 2}}}}, grr},
+	hierBits, gridBits := freq.NewBitset(2), freq.NewBitset(4)
+	cases := []rejectCase{
+		{"unknown task", p, Report{Task: TaskKind(99)}, "pipeline: unknown task TaskKind(99)"},
+		{"empty mean", p, Report{Task: TaskMean}, "pipeline: mean report with 0 entries"},
+		{"attr out of range", p, Report{Task: TaskMean, Entries: []core.Entry{{Attr: 9, Kind: core.EntryNumeric}}},
+			"pipeline: entry attribute 9 out of range [0,3)"},
+		{"mean on categorical", p, Report{Task: TaskMean, Entries: []core.Entry{{Attr: 2, Kind: core.EntryNumeric}}},
+			`pipeline: numeric entry for categorical attribute "gender"`},
+		{"nan value", p, Report{Task: TaskMean, Entries: []core.Entry{{Attr: 0, Kind: core.EntryNumeric, Value: math.NaN()}}},
+			`pipeline: non-finite value for attribute "age"`},
+		{"freq with numeric entry", p, Report{Task: TaskFreq, Entries: []core.Entry{{Attr: 0, Kind: core.EntryNumeric}}},
+			"pipeline: freq report with numeric entry"},
+		{"bitset width", p, Report{Task: TaskFreq, Entries: []core.Entry{{Attr: 2, Kind: core.EntryCategoricalBits, Resp: freq.Response{Bits: append(bits, 0)}}}},
+			`pipeline: attribute "gender" bitset has 2 words, want 1`},
+		{"grr value range", grr, Report{Task: TaskFreq, Entries: []core.Entry{{Attr: 2, Kind: core.EntryCategoricalValue, Resp: freq.Response{Value: 7}}}},
+			`pipeline: attribute "gender" value 7 outside [0,2)`},
+		{"range without task", p, Report{Task: TaskRange}, "pipeline: range report but no range task is registered"},
+		{"joint attr out of range", p, Report{Task: TaskJoint, Entries: []core.Entry{{Attr: 99, Kind: core.EntryNumeric, Value: 1}}},
+			"pipeline: entry attribute 99 out of range [0,3)"},
+		{"joint numeric on categorical", p, Report{Task: TaskJoint, Entries: []core.Entry{{Attr: 2, Kind: core.EntryNumeric, Value: 1}}},
+			`pipeline: numeric entry for categorical attribute "gender"`},
+		{"joint bitset width", p, Report{Task: TaskJoint, Entries: []core.Entry{{Attr: 2, Kind: core.EntryCategoricalBits, Resp: freq.Response{Bits: append(bits, 0)}}}},
+			`pipeline: attribute "gender" bitset has 2 words, want 1`},
+		{"joint grr value range", grr, Report{Task: TaskJoint, Entries: []core.Entry{{Attr: 2, Kind: core.EntryCategoricalValue, Resp: freq.Response{Value: 2}}}},
+			`pipeline: attribute "gender" value 2 outside [0,2)`},
+
+		// Reports a lossy batch copy would turn into valid ones: an unknown
+		// entry kind read as a value entry, fields wrapped to int32 (1<<32
+		// becomes 0), and an empty bitset read as GRR value 0. Every entry
+		// point must judge the report as given.
+		{"unknown entry kind", grr, Report{Task: TaskFreq, Entries: []core.Entry{{Attr: 2, Kind: core.EntryKind(9)}}},
+			"pipeline: unknown entry kind 9"},
+		{"attr beyond int32", p, Report{Task: TaskMean, Entries: []core.Entry{{Attr: 1 << 32, Kind: core.EntryNumeric, Value: 0.5}}},
+			"pipeline: entry attribute 4294967296 out of range [0,3)"},
+		{"grr value beyond int32", grr, Report{Task: TaskFreq, Entries: []core.Entry{{Attr: 2, Kind: core.EntryCategoricalValue, Resp: freq.Response{Value: 1<<32 + 1}}}},
+			`pipeline: attribute "gender" value 4294967297 outside [0,2)`},
+		{"range attr beyond int32", rangeOUE, Report{Task: TaskRange, Range: rangequery.Report{Kind: rangequery.KindHier, Attr: 1 << 32, Depth: 1, Resp: freq.Response{Bits: hierBits}}},
+			"rangequery: report for non-numeric or out-of-range attribute 4294967296"},
+		{"range depth beyond int32", rangeOUE, Report{Task: TaskRange, Range: rangequery.Report{Kind: rangequery.KindHier, Depth: 1<<32 + 1, Resp: freq.Response{Bits: hierBits}}},
+			"rangequery: report depth 4294967297 outside [1,5]"},
+		{"range pair beyond int32", rangeOUE, Report{Task: TaskRange, Range: rangequery.Report{Kind: rangequery.KindGrid, Pair: 1 << 32, Resp: freq.Response{Bits: gridBits}}},
+			"rangequery: report pair 4294967296 out of range [0,1)"},
+		{"empty bitset on grr range", rangeGRR, Report{Task: TaskRange, Range: rangequery.Report{Kind: rangequery.KindHier, Depth: 1, Resp: freq.Response{Bits: freq.Bitset{}}}},
+			"rangequery: unexpected bitset for a value-type oracle"},
+	}
+	for _, tc := range gradientRejects(t, newGradientPipeline(t, 2, 4), p) {
+		tc.name = "gradient " + tc.name
+		cases = append(cases, tc)
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			pl := tc.p
-			if pl == nil {
-				pl = p
-			}
-			if err := pl.Validate(tc.rep); err == nil {
-				t.Error("Validate accepted a malformed report")
-			}
-			if err := pl.Add(tc.rep); err == nil {
-				t.Error("Add accepted a malformed report")
-			}
-		})
-	}
-	if p.N() != 0 || grr.N() != 0 {
-		t.Errorf("rejected reports must not count: N = %d, %d", p.N(), grr.N())
+		t.Run(tc.name, func(t *testing.T) { assertRejected(t, tc) })
 	}
 
 	// Response shape must match the oracle: a GRR pipeline rejects bitset

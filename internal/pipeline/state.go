@@ -201,7 +201,7 @@ func (p *Pipeline) CheckState(st *AggState) error {
 			return fmt.Errorf("pipeline: state counts %d range reports but carries no range state", st.NRange)
 		}
 	default:
-		if err := p.rangeCheck.CheckState(st.Range); err != nil {
+		if err := p.rangeT.col.CheckState(st.Range); err != nil {
 			return err
 		}
 		if st.Range.N != st.NRange {
@@ -260,7 +260,7 @@ func (p *Pipeline) MergeState(st *AggState) error {
 		return err
 	}
 	// Round-robin the merge target so repeated pushes spread across the
-	// shard set, same as single-report ingest.
+	// shard set, on the same cursor that rotates batch folds.
 	var idx uint64
 	if n := uint64(len(p.shards)); n > 1 {
 		idx = p.cursor.Add(1) % n
@@ -505,13 +505,6 @@ func cloneCols(c [][]float64, n []int64) ([][]float64, []int64) {
 	}
 	return counts, append([]int64(nil), n...)
 }
-
-// ValidateBatch checks every report of a decoded batch against the
-// pipeline configuration without folding anything — exactly the
-// validation AddBatch runs first. A server persisting accepted frames
-// before folding them (write-ahead order) uses it to reject a bad batch
-// before the log grows.
-func (p *Pipeline) ValidateBatch(b *ReportBatch) error { return p.validateBatch(b) }
 
 // Fingerprint is a stable hash of everything two pipelines must agree on
 // for their aggregate states to mean the same thing: the schema

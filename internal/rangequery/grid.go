@@ -66,6 +66,12 @@ func (c *GridCollector) Perturb(x, y float64, r *rng.Rand) freq.Response {
 	return c.oracle.Perturb(c.CellOf(x, y), r)
 }
 
+// Check validates a response against the g^2 cell domain (decoded
+// frames are attacker-controlled).
+func (c *GridCollector) Check(resp freq.Response) error {
+	return checkResponse(resp, c.cells*c.cells, c.bits)
+}
+
 // GridEstimator aggregates cell reports into a consistent joint histogram
 // and answers rectangle queries. It is not safe for concurrent use; use
 // one per goroutine and Merge.
@@ -79,16 +85,10 @@ func NewGridEstimator(c *GridCollector) *GridEstimator {
 	return &GridEstimator{col: c, inner: freq.NewEstimator(c.oracle)}
 }
 
-// Check validates a response against the g^2 cell domain without mutating
-// any state (decoded frames are attacker-controlled).
-func (e *GridEstimator) Check(resp freq.Response) error {
-	return checkResponse(resp, e.col.cells*e.col.cells, e.col.bits)
-}
-
 // Add folds one response in, rejecting responses whose shape does not
 // match the oracle.
 func (e *GridEstimator) Add(resp freq.Response) error {
-	if err := e.Check(resp); err != nil {
+	if err := e.col.Check(resp); err != nil {
 		return err
 	}
 	e.inner.Add(resp)

@@ -138,6 +138,15 @@ func (c *HierCollector) Perturb(bucket int, r *rng.Rand) HierReport {
 	return HierReport{Depth: depth, Resp: c.oracles[depth-1].Perturb(node, r)}
 }
 
+// Check validates a report against the collector configuration: a depth
+// in [1, log2 B] and a response shaped like that depth's oracle.
+func (c *HierCollector) Check(rep HierReport) error {
+	if rep.Depth < 1 || rep.Depth > c.depths {
+		return fmt.Errorf("rangequery: report depth %d outside [1,%d]", rep.Depth, c.depths)
+	}
+	return checkResponse(rep.Resp, 1<<rep.Depth, c.bits)
+}
+
 // HierEstimator aggregates hierarchical reports and answers range queries
 // by dyadic decomposition. It is not safe for concurrent use; use one per
 // goroutine and Merge.
@@ -155,18 +164,9 @@ func NewHierEstimator(c *HierCollector) *HierEstimator {
 	return &HierEstimator{col: c, levels: levels}
 }
 
-// Check validates a report against the collector configuration without
-// mutating any state.
-func (e *HierEstimator) Check(rep HierReport) error {
-	if rep.Depth < 1 || rep.Depth > e.col.depths {
-		return fmt.Errorf("rangequery: report depth %d outside [1,%d]", rep.Depth, e.col.depths)
-	}
-	return checkResponse(rep.Resp, 1<<rep.Depth, e.col.bits)
-}
-
 // Add folds one report in.
 func (e *HierEstimator) Add(rep HierReport) error {
-	if err := e.Check(rep); err != nil {
+	if err := e.col.Check(rep); err != nil {
 		return err
 	}
 	e.levels[rep.Depth-1].Add(rep.Resp)

@@ -17,7 +17,9 @@
 // or an attribute-pair cell report — so each report consumes the full
 // budget eps, in the attribute-sampling spirit of the paper's Algorithm 4
 // and the RS+FD line. Accumulator is the matching server side; the
-// sharded pipeline guards one per shard.
+// sharded pipeline guards one per shard. Collector.Validate and
+// Collector.CheckState check a report or an exported state against the
+// configuration alone, so ingest and merges check without any estimator.
 package rangequery
 
 import (
@@ -177,6 +179,32 @@ func (c *Collector) Perturb(t schema.Tuple, r *rng.Rand) (Report, error) {
 	return Report{Kind: KindHier, Attr: attr, Depth: hr.Depth, Resp: hr.Resp}, nil
 }
 
+// Validate checks a range report against the collector configuration —
+// a numeric attribute and a depth in [1, log2 B] for a hierarchy report,
+// a pair index for a grid report, and a response shaped like the oracle's
+// — without touching any estimator state. The configuration is immutable
+// after construction, so Validate is safe for concurrent use (batch ingest
+// validates a whole batch before folding any of it in).
+func (c *Collector) Validate(rep Report) error {
+	switch rep.Kind {
+	case KindHier:
+		if rep.Attr < 0 || rep.Attr >= len(c.numPos) || c.numPos[rep.Attr] < 0 {
+			return fmt.Errorf("rangequery: report for non-numeric or out-of-range attribute %d", rep.Attr)
+		}
+		return c.hier.Check(HierReport{Depth: rep.Depth, Resp: rep.Resp})
+	case KindGrid:
+		if c.grid == nil {
+			return fmt.Errorf("rangequery: grid report but grids are disabled")
+		}
+		if rep.Pair < 0 || rep.Pair >= len(c.pairs) {
+			return fmt.Errorf("rangequery: report pair %d out of range [0,%d)", rep.Pair, len(c.pairs))
+		}
+		return c.grid.Check(rep.Resp)
+	default:
+		return fmt.Errorf("rangequery: unknown report kind %d", rep.Kind)
+	}
+}
+
 // Accumulator is the unlocked estimator state for range reports: the
 // per-attribute hierarchies and per-pair grids of one aggregation domain.
 // It is not safe for concurrent use — callers provide their own locking
@@ -211,44 +239,19 @@ func (a *Accumulator) Collector() *Collector { return a.col }
 // N returns the number of reports folded in.
 func (a *Accumulator) N() int64 { return a.n }
 
-// Validate checks a report against the accumulator's configuration without
-// mutating any state. It reads only configuration that is immutable after
-// construction, so it is safe to call concurrently with folds on other
-// accumulators of the same collector (batch ingest validates a whole batch
-// before folding any of it in).
-func (a *Accumulator) Validate(rep Report) error {
-	switch rep.Kind {
-	case KindHier:
-		est, ok := a.hier[rep.Attr]
-		if !ok {
-			return fmt.Errorf("rangequery: report for non-numeric or out-of-range attribute %d", rep.Attr)
-		}
-		return est.Check(HierReport{Depth: rep.Depth, Resp: rep.Resp})
-	case KindGrid:
-		if a.grids == nil {
-			return fmt.Errorf("rangequery: grid report but grids are disabled")
-		}
-		if rep.Pair < 0 || rep.Pair >= len(a.grids) {
-			return fmt.Errorf("rangequery: report pair %d out of range [0,%d)", rep.Pair, len(a.grids))
-		}
-		return a.grids[rep.Pair].Check(rep.Resp)
-	default:
-		return fmt.Errorf("rangequery: unknown report kind %d", rep.Kind)
-	}
-}
-
 // Add validates and folds one report in.
 func (a *Accumulator) Add(rep Report) error {
-	if err := a.Validate(rep); err != nil {
+	if err := a.col.Validate(rep); err != nil {
 		return err
 	}
 	a.FoldValidated(rep)
 	return nil
 }
 
-// FoldValidated folds one report that has already passed Validate,
-// without re-checking it: the batch ingest path validates lock-free up
-// front and calls this inside the shard critical section.
+// FoldValidated folds one report that has already passed
+// Collector.Validate, without re-checking it: the batch ingest path
+// validates lock-free up front and calls this inside the shard critical
+// section.
 func (a *Accumulator) FoldValidated(rep Report) {
 	switch rep.Kind {
 	case KindHier:

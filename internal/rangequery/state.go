@@ -64,23 +64,23 @@ func (a *Accumulator) ExportState() *AccState {
 	return st
 }
 
-// CheckState validates a state's shape and values against the
-// accumulator's configuration without mutating anything: every level and
-// grid must be present with the exact domain size, counts must be finite
-// and non-negative (support counts are monotone sums of 0/1 indicators;
-// a negative or non-finite count can only come from a corrupt or
-// malicious snapshot), and reporter counts must be non-negative.
-func (a *Accumulator) CheckState(st *AccState) error {
+// CheckState validates a state's shape and values against the collector
+// configuration: every level and grid must be present with the exact
+// domain size, counts must be finite and non-negative (support counts are
+// monotone sums of 0/1 indicators; a negative or non-finite count can only
+// come from a corrupt or malicious snapshot), and reporter counts must be
+// non-negative.
+func (c *Collector) CheckState(st *AccState) error {
 	if st == nil {
 		return fmt.Errorf("rangequery: nil state")
 	}
 	if st.N < 0 {
 		return fmt.Errorf("rangequery: negative report count %d", st.N)
 	}
-	depths := a.col.hier.depths
-	if len(st.Levels) != len(a.col.numeric)*depths {
+	depths := c.hier.depths
+	if len(st.Levels) != len(c.numeric)*depths {
 		return fmt.Errorf("rangequery: state has %d hierarchy levels, want %d",
-			len(st.Levels), len(a.col.numeric)*depths)
+			len(st.Levels), len(c.numeric)*depths)
 	}
 	for i := range st.Levels {
 		want := 1 << (i%depths + 1)
@@ -89,14 +89,14 @@ func (a *Accumulator) CheckState(st *AccState) error {
 		}
 	}
 	wantGrids := 0
-	if a.grids != nil {
-		wantGrids = len(a.grids)
+	if c.grid != nil {
+		wantGrids = len(c.pairs)
 	}
 	if len(st.Grids) != wantGrids {
 		return fmt.Errorf("rangequery: state has %d grids, want %d", len(st.Grids), wantGrids)
 	}
 	for i := range st.Grids {
-		g := a.col.grid.cells
+		g := c.grid.cells
 		if err := checkCountState(&st.Grids[i], g*g); err != nil {
 			return fmt.Errorf("rangequery: grid %d: %w", i, err)
 		}
@@ -122,7 +122,7 @@ func checkCountState(c *CountState, domain int) error {
 // AddState validates st against the accumulator's configuration and folds
 // it in. The caller is responsible for excluding concurrent writers.
 func (a *Accumulator) AddState(st *AccState) error {
-	if err := a.CheckState(st); err != nil {
+	if err := a.col.CheckState(st); err != nil {
 		return err
 	}
 	depths := a.col.hier.depths

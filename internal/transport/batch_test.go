@@ -227,8 +227,8 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 
 // TestDecodeBatchRejectsImplausibleAttr: a well-formed frame whose entry
 // attribute (or categorical value) exceeds any plausible schema must be
-// rejected by BOTH decoders — the columnar batch stores them as int32, so
-// accepting would truncate an attacker-chosen 2^32+k into a valid-looking
+// rejected by BOTH decoders at the wire boundary, so no platform's int
+// conversion can truncate an attacker-chosen 2^32+k into a valid-looking
 // small index and poison another attribute's aggregate.
 func TestDecodeBatchRejectsImplausibleAttr(t *testing.T) {
 	hugeAttr := pipeline.Report{Task: pipeline.TaskMean, Entries: []core.Entry{
@@ -254,9 +254,7 @@ func TestDecodeBatchRejectsImplausibleAttr(t *testing.T) {
 
 // TestDecodeRejectsEmptyBitsResponse: a range frame declaring a bits
 // response with 0 words can never validate (every oracle domain needs at
-// least one word) and the batch columns cannot represent it without
-// conflating it with a value response — both decoders must reject it at
-// the boundary. (The retired v1 range frame carrying it is rejected
+// least one word), so both decoders must reject it at the boundary. (The retired v1 range frame carrying it is rejected
 // outright.)
 func TestDecodeRejectsEmptyBitsResponse(t *testing.T) {
 	// kind=hier attr=0 depth=1, respBits with words=0.

@@ -33,9 +33,9 @@ const (
 
 	// maxWireAttr and maxWireValue bound decoded attribute indices and
 	// categorical values. No real schema comes near them; rejecting the
-	// rest at the decode boundary means downstream narrowing (the
-	// columnar batch stores both as int32) can never truncate an
-	// attacker-chosen value into a valid-looking one.
+	// rest at the decode boundary keeps every decoded value far inside int
+	// on any platform, so an attacker-chosen uvarint can never convert into
+	// a valid-looking (or negative) one.
 	maxWireAttr  = 1 << 16
 	maxWireValue = 1 << 24
 )

@@ -17,10 +17,11 @@ import (
 //
 // The decoder bounds round and coordinate indices at the wire boundary —
 // like maxWireAttr/maxWireValue, the limits are far above any real
-// configuration, and rejecting the rest here means the columnar batch's
-// int32 narrowing can never truncate an attacker-chosen value into a
-// valid-looking one. Pipeline.AddBatch then validates against the actual
-// trainer configuration (round < Rounds, coord < Dim, finite values).
+// configuration, and rejecting the rest here means neither the batch's
+// int32 round column nor a 32-bit int can truncate an attacker-chosen
+// value into a valid-looking one. Pipeline.AddBatch then validates
+// against the actual trainer configuration (round < Rounds, coord < Dim,
+// finite values).
 const (
 	// maxWireRound bounds decoded round tags. A training run has at most
 	// a few thousand rounds; nothing legitimate comes near 2^20.

@@ -60,7 +60,7 @@
 // levels, skipping clean shards without taking their locks. When the
 // delta since the previous view exceeds a crossover fraction of the
 // watermark (WithIncrementalView, default 0.25) the rebuild falls back
-// to a full snapshot parallelized across shards. Either way the result
+// to a full sync that visits every shard in order. Either way the result
 // is bit-identical to Snapshot at the same watermark — incremental
 // maintenance changes the cost of a rebuild (delta-proportional instead
 // of domain-proportional), never its answers. Inside a Result, frequency

@@ -27,7 +27,7 @@ func TestRegistryComplete(t *testing.T) {
 		"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
 		"fig7", "fig8", "fig9", "fig10", "fig11",
 		"ablation-alpha", "ablation-k", "ablation-freq", "ablation-clip",
-		"ablation-comm", "range", "federated", "query", "fanin", "audit",
+		"ablation-comm", "range", "federated", "audit",
 	}
 	for _, name := range want {
 		if _, err := Get(name); err != nil {

@@ -190,7 +190,7 @@ func TestAddBatchSpreadsShards(t *testing.T) {
 	}
 	touched := 0
 	for _, sh := range p.shards {
-		if sh.nMean > 0 {
+		if sh.st.NMean > 0 {
 			touched++
 		}
 	}

@@ -184,6 +184,39 @@ func TestGradientBatchIngest(t *testing.T) {
 	}
 }
 
+// TestGradientOnlyBatchSkipsShards: a batch of nothing but gradient
+// reports, and a gradient Add, fold into the trainer alone — the rotating
+// shard cursor and every shard epoch stay where they were.
+func TestGradientOnlyBatchSkipsShards(t *testing.T) {
+	p, err := New(testSchema(t), 5, WithShards(4), WithGradient(GradientConfig{
+		Dim: 2, Rounds: 1, GroupSize: 1000, Eta: 1, Lambda: 1e-4, Mechanism: identityFactory,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewReportBatch()
+	for i := 0; i < 200; i++ {
+		b.Append(onesReport(t, p, 0))
+	}
+	if err := p.AddBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Add(onesReport(t, p, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.cursor.Load(); got != 0 {
+		t.Fatalf("gradient-only ingest moved the shard cursor to %d", got)
+	}
+	for i, sh := range p.shards {
+		if e := sh.epoch.Load(); e != 0 {
+			t.Fatalf("gradient-only ingest moved shard %d's epoch to %d", i, e)
+		}
+	}
+	if got := p.Trainer().Accepted(); got != 201 {
+		t.Fatalf("trainer accepted %d, want 201", got)
+	}
+}
+
 // gradientRejects lists malformed gradient reports with the error each
 // must be rejected with: gp is newGradientPipeline(t, 2, 4) (dimension 2,
 // rounds 0 and 1) and noGrad a pipeline without a gradient task.

@@ -66,7 +66,7 @@ func (p *Pipeline) initTelemetry(reg *telemetry.Registry) {
 	}
 	for _, kind := range kinds {
 		reg.CounterFunc("ldp_ingest_reports_total", reportsHelp,
-			func() float64 { return float64(p.taskTotal(kind)) },
+			func() float64 { return float64(p.TaskCounts()[kind]) },
 			telemetry.L("task", kind.String()))
 	}
 	if p.trainer != nil {
@@ -125,26 +125,4 @@ func (p *Pipeline) initTelemetry(reg *telemetry.Registry) {
 			"Gradient reports accumulated toward the current round's group.",
 			func() float64 { return float64(tr.Fill()) })
 	}
-}
-
-// taskTotal sums one task kind's folded-report count across the shards: a
-// scrape-time read over the counters the fold paths already maintain, so
-// the per-task exposition series add no hot-path atomics.
-func (p *Pipeline) taskTotal(kind TaskKind) int64 {
-	var n int64
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		switch kind {
-		case TaskMean:
-			n += sh.nMean
-		case TaskFreq:
-			n += sh.nFreq
-		case TaskJoint:
-			n += sh.nJoint
-		case TaskRange:
-			n += sh.nRange
-		}
-		sh.mu.Unlock()
-	}
-	return n
 }

@@ -207,11 +207,13 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 	}
 }
 
-// shard is one lock domain of the aggregation state. Its accumulators are
-// flat arrays — numeric sums and raw frequency-oracle support counts per
+// shard is one lock domain of the aggregation state. Its AggState is flat
+// arrays — numeric sums and raw frequency-oracle support counts per
 // attribute — so folding a report (or a whole batch span) is direct array
 // arithmetic with no estimator or interface indirection; Snapshot rebuilds
-// debiasing estimators from the counts. Everything is guarded by mu.
+// debiasing estimators from the counts. Range reports fold into rangeAcc
+// instead of the state's Range field, which stays nil. Everything is
+// guarded by mu.
 type shard struct {
 	mu sync.Mutex
 
@@ -219,24 +221,10 @@ type shard struct {
 	// atomic so the pipeline's ingest watermark (the freshness signal of
 	// the cached query view) is readable without taking any shard lock.
 	// It is written only while mu is held, immediately after the fold, so
-	// under mu it is exactly nMean+nFreq+nJoint+nRange.
+	// under mu it is exactly st.Total().
 	epoch atomic.Int64
 
-	nMean    int64
-	nFreq    int64
-	nJoint   int64
-	nRange   int64
-	meanSum  []float64 // mean-task numeric sums, indexed by attribute
-	jointSum []float64 // joint-report numeric sums
-
-	// Frequency-oracle support counts, indexed by attribute (nil for
-	// numeric attributes), with per-attribute reporter counts. The freq
-	// and joint tasks run their oracles at different budgets, so they
-	// accumulate separately.
-	freqCounts  [][]float64
-	freqN       []int64
-	jointCounts [][]float64
-	jointN      []int64
+	st AggState
 
 	rangeAcc *rangequery.Accumulator // nil when the range task is absent
 
@@ -437,26 +425,7 @@ func New(s *schema.Schema, eps float64, opts ...Option) (*Pipeline, error) {
 
 func (p *Pipeline) newShard() *shard {
 	d := p.sch.Dim()
-	sh := &shard{
-		meanSum:  make([]float64, d),
-		jointSum: make([]float64, d),
-	}
-	if p.freq != nil {
-		sh.freqCounts = make([][]float64, d)
-		sh.freqN = make([]int64, d)
-		for _, j := range p.freq.catIdx {
-			sh.freqCounts[j] = make([]float64, p.sch.Attrs[j].Cardinality)
-		}
-	}
-	if p.joint.oracles != nil {
-		sh.jointCounts = make([][]float64, d)
-		sh.jointN = make([]int64, d)
-		for j, o := range p.joint.oracles {
-			if o != nil {
-				sh.jointCounts[j] = make([]float64, o.Cardinality())
-			}
-		}
-	}
+	sh := &shard{st: *p.newAggState()}
 	if p.rangeT != nil {
 		sh.rangeAcc = rangequery.NewAccumulator(p.rangeT.col)
 		sh.dLevel = newBits(p.lvlSlots)
@@ -762,9 +731,13 @@ func (p *Pipeline) foldBatch(b *ReportBatch) {
 	// exactly-once round advance live on the Trainer, which folds every
 	// gradient report of the batch under a single lock acquisition.
 	// Gradient-free batches never touch the trainer lock, so analytics
-	// ingest stays fully sharded on mixed pipelines.
+	// ingest stays fully sharded on mixed pipelines, and gradient-only
+	// batches never touch a shard lock or the rotating cursor.
 	if p.trainer != nil && b.nGrad > 0 {
 		p.trainer.foldBatch(b)
+		if b.nGrad == n {
+			return
+		}
 	}
 	// Split the batch across at most enough shards to keep every chunk at
 	// least minBatchSpan reports: below that, a chunk costs more in lock
@@ -813,64 +786,59 @@ func (p *Pipeline) foldSpan(sh *shard, b *ReportBatch, lo, hi int) int {
 		switch b.task[i] {
 		case TaskMean:
 			for e := b.entOff[i]; e < b.entOff[i+1]; e++ {
-				sh.meanSum[b.entAttr[e]] += b.entNum[e]
+				sh.st.MeanSum[b.entAttr[e]] += b.entNum[e]
 			}
-			sh.nMean++
+			sh.st.NMean++
 			folded++
 		case TaskFreq:
 			for e := b.entOff[i]; e < b.entOff[i+1]; e++ {
 				attr := b.entAttr[e]
 				if core.EntryKind(b.entKind[e]) == core.EntryCategoricalBits {
 					off := b.entBitOff[e]
-					freq.FoldBits(sh.freqCounts[attr], b.bits[off:off+b.entBitLen[e]])
+					freq.FoldBits(sh.st.FreqCounts[attr], b.bits[off:off+b.entBitLen[e]])
 				} else {
-					sh.freqCounts[attr][b.entCat[e]]++
+					sh.st.FreqCounts[attr][b.entCat[e]]++
 				}
-				sh.freqN[attr]++
+				sh.st.FreqN[attr]++
 				sh.dFreq.set(int(attr))
 			}
-			sh.nFreq++
+			sh.st.NFreq++
 			folded++
 		case TaskJoint:
 			for e := b.entOff[i]; e < b.entOff[i+1]; e++ {
 				attr := b.entAttr[e]
 				switch core.EntryKind(b.entKind[e]) {
 				case core.EntryNumeric:
-					sh.jointSum[attr] += b.entNum[e]
+					sh.st.JointSum[attr] += b.entNum[e]
 				case core.EntryCategoricalBits:
 					off := b.entBitOff[e]
-					freq.FoldBits(sh.jointCounts[attr], b.bits[off:off+b.entBitLen[e]])
-					sh.jointN[attr]++
+					freq.FoldBits(sh.st.JointCounts[attr], b.bits[off:off+b.entBitLen[e]])
+					sh.st.JointN[attr]++
 					sh.dJoint.set(int(attr))
 				default:
-					sh.jointCounts[attr][b.entCat[e]]++
-					sh.jointN[attr]++
+					sh.st.JointCounts[attr][b.entCat[e]]++
+					sh.st.JointN[attr]++
 					sh.dJoint.set(int(attr))
 				}
 			}
-			sh.nJoint++
+			sh.st.NJoint++
 			folded++
 		case TaskRange:
 			rr := b.rangeAlias(i)
 			sh.rangeAcc.FoldValidated(rr)
 			sh.markRange(p, &rr)
-			sh.nRange++
+			sh.st.NRange++
 			folded++
 		}
 	}
 	return folded
 }
 
-// N returns the total number of reports aggregated so far (for the
-// gradient task, the reports accepted into a round; stale drops are not
-// counted).
+// N returns the total number of reports aggregated so far: the shard
+// epochs, as Watermark reads them, plus the reports the gradient task
+// accepted into a round (stale drops are not counted).
 func (p *Pipeline) N() int64 {
-	var n int64
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		n += sh.nMean + sh.nFreq + sh.nJoint + sh.nRange
-		sh.mu.Unlock()
-	}
+	n := p.Watermark()
 	if p.trainer != nil {
 		n += p.trainer.Accepted()
 	}
@@ -884,10 +852,10 @@ func (p *Pipeline) TaskCounts() map[TaskKind]int64 {
 	out := make(map[TaskKind]int64, 4)
 	for _, sh := range p.shards {
 		sh.mu.Lock()
-		out[TaskMean] += sh.nMean
-		out[TaskFreq] += sh.nFreq
-		out[TaskJoint] += sh.nJoint
-		out[TaskRange] += sh.nRange
+		out[TaskMean] += sh.st.NMean
+		out[TaskFreq] += sh.st.NFreq
+		out[TaskJoint] += sh.st.NJoint
+		out[TaskRange] += sh.st.NRange
 		sh.mu.Unlock()
 	}
 	if p.trainer != nil {
@@ -913,10 +881,10 @@ func (p *Pipeline) Watermark() int64 {
 	return n
 }
 
-// Snapshot combines every shard into an immutable, queryable Result. It
-// locks shards one at a time, so concurrent Adds on other shards are not
-// blocked. Reports added while the snapshot is in progress may or may not
-// be included.
+// Snapshot wraps sumShards' in-order sum in an immutable, queryable
+// Result. It locks shards one at a time, so concurrent Adds on other
+// shards are not blocked. Reports added while the snapshot is in progress
+// may or may not be included.
 //
 // The result holds raw pooled support counts, not rebuilt estimators:
 // debiasing happens lazily per queried attribute (freq.DebiasView with
@@ -926,30 +894,9 @@ func (p *Pipeline) Watermark() int64 {
 // behind an atomic pointer and rebuilds only when the ingest watermark
 // moves past the configured staleness bound.
 func (p *Pipeline) Snapshot() *Result {
-	res := p.newResultShell()
-	p.allocCountCols(res)
-	var rangeAcc *rangequery.Accumulator
-	if p.rangeT != nil {
-		rangeAcc = rangequery.NewAccumulator(p.rangeT.col)
-	}
-	if workers := p.snapWorkers(); workers > 1 {
-		p.snapshotParallel(res, rangeAcc, workers)
-	} else {
-		for _, sh := range p.shards {
-			sh.mu.Lock()
-			p.sumShardCounts(res, sh, rangeAcc)
-			for i, v := range sh.meanSum {
-				res.meanSum[i] += v
-			}
-			for i, v := range sh.jointSum {
-				res.jointSum[i] += v
-			}
-			sh.mu.Unlock()
-		}
-	}
-	// The shard epochs equal the per-task counters under each shard lock,
-	// so the snapshot's watermark is exactly the reports it contains.
-	res.watermark = res.nMean + res.nFreq + res.nJoint + res.nRange
+	st, rangeAcc := p.sumShards()
+	res := &Result{st: *st}
+	p.fillResult(res, make([]atomic.Pointer[[]float64], p.sch.Dim()))
 	if rangeAcc != nil {
 		// Debias every depth and run Norm-Sub once, outside all locks:
 		// Range answers on the result are pure lookups.
@@ -958,206 +905,22 @@ func (p *Pipeline) Snapshot() *Result {
 	return res
 }
 
-// newResultShell allocates a Result with the pipeline's shapes: fresh
-// scalar and float-sum storage, per-family column tables with nil count
-// columns (allocCountCols zero-fills them; the incremental builder seeds
-// them from the previous view instead and copies on first change), and
-// the lazy debias cache.
-func (p *Pipeline) newResultShell() *Result {
-	d, fams := p.shellShape()
-	// One backing array per element type: the shell is allocated on every
-	// rebuild, so its fixed-size slices are carved from shared blocks
-	// (capacity-capped so an append could never bleed across) to keep the
-	// rebuild's allocation count flat. The view builder goes further and
-	// carves whole slabs of shells at once (see newResultShellSlab).
-	res := &Result{}
-	p.fillResultShell(res,
-		make([]float64, 2*d),
-		make([][]float64, fams*d),
-		make([]int64, fams*d),
-		make([]atomic.Pointer[[]float64], d))
-	return res
-}
-
-// shellShape returns the two dimensions every shell block is sized by: the
-// schema dimension and the number of registered count-column families.
-func (p *Pipeline) shellShape() (d, fams int) {
-	d = p.sch.Dim()
-	if p.freq != nil {
-		fams++
-	}
-	if p.joint.oracles != nil {
-		fams++
-	}
-	return d, fams
-}
-
-// fillResultShell wires a zeroed Result and zeroed backing blocks (sized
-// per shellShape) into a ready shell: sub-slices are capacity-capped so an
-// append could never bleed into a neighbour's region.
-func (p *Pipeline) fillResultShell(res *Result, sums []float64, cols [][]float64, ns []int64, cache []atomic.Pointer[[]float64]) {
-	d := p.sch.Dim()
+// fillResult wires a Result around its state: the schema, the debias
+// oracles, and an empty per-attribute debias cache.
+func (p *Pipeline) fillResult(res *Result, cache []atomic.Pointer[[]float64]) {
 	res.sch = p.sch
-	res.meanSum = sums[:d:d]
-	res.jointSum = sums[d : 2*d : 2*d]
-	hasFreq, hasJoint := p.freq != nil, p.joint.oracles != nil
-	if !hasFreq && !hasJoint {
-		return
-	}
-	if hasFreq {
+	if p.freq != nil {
 		res.freqOracles = p.freq.oracles
-		res.freqCounts = cols[:d:d]
-		res.freqN = ns[:d:d]
-		cols, ns = cols[d:], ns[d:]
 	}
-	if hasJoint {
-		res.jointOracles = p.joint.oracles
-		res.jointCounts = cols[:d:d]
-		res.jointN = ns[:d:d]
-	}
-	res.freqCache = cache[:d:d]
-}
-
-// allocCountCols zero-fills a result shell's count columns.
-func (p *Pipeline) allocCountCols(res *Result) {
-	if res.freqCounts != nil {
-		for _, j := range p.freq.catIdx {
-			res.freqCounts[j] = make([]float64, p.sch.Attrs[j].Cardinality)
-		}
-	}
-	if res.jointCounts != nil {
-		for j, o := range p.joint.oracles {
-			if o != nil {
-				res.jointCounts[j] = make([]float64, o.Cardinality())
-			}
-		}
-	}
-}
-
-// sumShardCounts folds one shard's integer-valued state — scalar counters,
-// oracle support counts, reporter counts, and the range accumulator — into
-// a result (and range accumulator). The float sums are left to the caller:
-// integer-valued counts are exact under any fold grouping, float sums are
-// not, and every snapshot path must fold them in shard order so results
-// are bit-identical regardless of how the summation was parallelized. The
-// caller holds the shard lock.
-func (p *Pipeline) sumShardCounts(res *Result, sh *shard, acc *rangequery.Accumulator) {
-	res.nMean += sh.nMean
-	res.nFreq += sh.nFreq
-	res.nJoint += sh.nJoint
-	res.nRange += sh.nRange
-	for i := range res.freqCounts {
-		if dst := res.freqCounts[i]; dst != nil {
-			for v, c := range sh.freqCounts[i] {
-				dst[v] += c
-			}
-			res.freqN[i] += sh.freqN[i]
-		}
-	}
-	for i := range res.jointCounts {
-		if dst := res.jointCounts[i]; dst != nil {
-			for v, c := range sh.jointCounts[i] {
-				dst[v] += c
-			}
-			res.jointN[i] += sh.jointN[i]
-		}
-	}
-	if acc != nil {
-		acc.Merge(sh.rangeAcc)
-	}
-}
-
-// snapshotParallel sums the shards into res on workers goroutines, each
-// owning a contiguous shard range with its own partial accumulator. The
-// integer-valued partials reduce in any grouping without changing a bit;
-// the float mean/joint sums come back as per-shard copies and reduce
-// serially in shard order, so the parallel snapshot is bit-identical to
-// the serial one (and to the incremental builder's running sums).
-func (p *Pipeline) snapshotParallel(res *Result, rangeAcc *rangequery.Accumulator, workers int) {
-	nsh := len(p.shards)
-	parts := make([]*Result, workers)
-	partAccs := make([]*rangequery.Accumulator, workers)
-	meanCopies := make([][]float64, nsh)
-	jointCopies := make([][]float64, nsh)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			part := p.newResultShell()
-			p.allocCountCols(part)
-			var acc *rangequery.Accumulator
-			if rangeAcc != nil {
-				acc = rangequery.NewAccumulator(p.rangeT.col)
-			}
-			for si := w * nsh / workers; si < (w+1)*nsh/workers; si++ {
-				sh := p.shards[si]
-				sh.mu.Lock()
-				meanCopies[si] = append([]float64(nil), sh.meanSum...)
-				jointCopies[si] = append([]float64(nil), sh.jointSum...)
-				p.sumShardCounts(part, sh, acc)
-				sh.mu.Unlock()
-			}
-			parts[w], partAccs[w] = part, acc
-		}(w)
-	}
-	wg.Wait()
-	for w, part := range parts {
-		res.nMean += part.nMean
-		res.nFreq += part.nFreq
-		res.nJoint += part.nJoint
-		res.nRange += part.nRange
-		for i := range res.freqCounts {
-			if dst := res.freqCounts[i]; dst != nil {
-				for v, c := range part.freqCounts[i] {
-					dst[v] += c
-				}
-				res.freqN[i] += part.freqN[i]
-			}
-		}
-		for i := range res.jointCounts {
-			if dst := res.jointCounts[i]; dst != nil {
-				for v, c := range part.jointCounts[i] {
-					dst[v] += c
-				}
-				res.jointN[i] += part.jointN[i]
-			}
-		}
-		if rangeAcc != nil {
-			rangeAcc.Merge(partAccs[w])
-		}
-	}
-	for si := range p.shards {
-		for i, v := range meanCopies[si] {
-			res.meanSum[i] += v
-		}
-		for i, v := range jointCopies[si] {
-			res.jointSum[i] += v
-		}
-	}
-}
-
-// snapWorkers is the shard-summation fan-out of a full snapshot, bounded
-// by the shard count, the CPU count, and a small cap (the reduction is
-// memory-bound; wider fan-out just shuffles cache lines).
-func (p *Pipeline) snapWorkers() int {
-	w := runtime.GOMAXPROCS(0)
-	if w > len(p.shards) {
-		w = len(p.shards)
-	}
-	if w > 4 {
-		w = 4
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	res.jointOracles = p.joint.oracles
+	res.freqCache = cache
 }
 
 // derivWorkers is the view-derivation fan-out (per-attribute debias and
-// per-grid Norm-Sub), bounded by the CPU count and the same small cap; it
-// is independent of the shard count because derivation cost scales with
-// the schema, not the shards.
+// per-grid Norm-Sub), bounded by the CPU count and a small cap (the work is
+// memory-bound; wider fan-out just shuffles cache lines); it is independent
+// of the shard count because derivation cost scales with the schema, not
+// the shards.
 func derivWorkers() int {
 	w := runtime.GOMAXPROCS(0)
 	if w > 4 {

@@ -26,8 +26,8 @@ type RangeQuery struct {
 // for numeric attributes, Freq for categorical attributes, and Range for
 // 1-D/2-D range queries. Methods are safe for concurrent use.
 //
-// Internally a Result is raw state plus precomputed constants, not
-// rebuilt estimators: numeric sums, pooled frequency-oracle support
+// Internally a Result is the summed AggState plus precomputed constants,
+// not rebuilt estimators: numeric sums, pooled frequency-oracle support
 // counts debiased lazily per queried attribute (the combined estimate is
 // memoized, so repeated queries are lookups), and a rangequery.View whose
 // interval-tree estimates and Norm-Sub-consistent grids were computed
@@ -35,28 +35,18 @@ type RangeQuery struct {
 type Result struct {
 	sch *schema.Schema
 
-	// watermark is the ingest watermark the snapshot captured: exactly
-	// the number of reports it contains. epoch and built are stamped by
-	// the view cache (epoch 0 for a plain Snapshot).
-	watermark int64
-	epoch     uint64
-	built     time.Time
+	// epoch and built are stamped by the view cache (epoch 0 for a plain
+	// Snapshot).
+	epoch uint64
+	built time.Time
 
-	nMean, nFreq, nJoint, nRange int64
-
-	meanSum  []float64
-	jointSum []float64
-
-	// Pooled support counts by attribute (nil entries for numeric
-	// attributes), with the oracles that debias them. The freq and joint
-	// tasks run their oracles at different budgets, so the two streams
-	// pool separately and combine at query time.
+	// st is the summed aggregate. Its Range and Trainer fields are nil:
+	// range answers come from rangeView. The freq and joint tasks run
+	// their oracles at different budgets, so their support counts pool
+	// separately and combine at query time, debiased by these oracles.
+	st           AggState
 	freqOracles  []freq.Oracle
 	jointOracles []freq.Oracle
-	freqCounts   [][]float64
-	freqN        []int64
-	jointCounts  [][]float64
-	jointN       []int64
 
 	// freqCache memoizes the combined debiased estimate per attribute:
 	// computed on first query, a pure lookup afterwards.
@@ -66,19 +56,19 @@ type Result struct {
 }
 
 // N returns the total number of reports in the snapshot.
-func (r *Result) N() int64 { return r.nMean + r.nFreq + r.nJoint + r.nRange }
+func (r *Result) N() int64 { return r.st.Total() }
 
 // NTask returns the number of reports of one task kind in the snapshot.
 func (r *Result) NTask(kind TaskKind) int64 {
 	switch kind {
 	case TaskMean:
-		return r.nMean
+		return r.st.NMean
 	case TaskFreq:
-		return r.nFreq
+		return r.st.NFreq
 	case TaskJoint:
-		return r.nJoint
+		return r.st.NJoint
 	case TaskRange:
-		return r.nRange
+		return r.st.NRange
 	default:
 		return 0
 	}
@@ -87,7 +77,7 @@ func (r *Result) NTask(kind TaskKind) int64 {
 // Watermark returns the ingest watermark the snapshot captured: the
 // number of reports folded into the pipeline's shards when it was taken
 // (equal to N by construction).
-func (r *Result) Watermark() int64 { return r.watermark }
+func (r *Result) Watermark() int64 { return r.st.Total() }
 
 // Epoch returns the view-cache build sequence number of this result, or 0
 // for a result built by a direct Snapshot call. Epochs from one
@@ -127,11 +117,11 @@ func (r *Result) Mean(attr string) (float64, error) {
 	if r.sch.Attrs[i].Kind != schema.Numeric {
 		return 0, fmt.Errorf("pipeline: attribute %q is not numeric", attr)
 	}
-	n := r.nMean + r.nJoint
+	n := r.st.NMean + r.st.NJoint
 	if n == 0 {
 		return 0, nil
 	}
-	return (r.meanSum[i] + r.jointSum[i]) / float64(n), nil
+	return (r.st.MeanSum[i] + r.st.JointSum[i]) / float64(n), nil
 }
 
 // Means returns the estimated mean of every numeric attribute, keyed by
@@ -160,23 +150,23 @@ func (r *Result) freqCombined(i int) []float64 {
 	}
 	out := make([]float64, r.sch.Attrs[i].Cardinality)
 	var nF, nJ int64
-	if r.freqCounts != nil && r.freqCounts[i] != nil {
-		nF = r.freqN[i]
+	if r.st.FreqCounts != nil && r.st.FreqCounts[i] != nil {
+		nF = r.st.FreqN[i]
 	}
-	if r.jointCounts != nil && r.jointCounts[i] != nil {
-		nJ = r.jointN[i]
+	if r.st.JointCounts != nil && r.st.JointCounts[i] != nil {
+		nJ = r.st.JointN[i]
 	}
 	if nF+nJ > 0 {
 		wF := float64(nF) / float64(nF+nJ)
 		wJ := float64(nJ) / float64(nF+nJ)
 		if nF > 0 {
-			fv := freq.NewDebiasView(r.freqOracles[i], r.freqCounts[i], nF)
+			fv := freq.NewDebiasView(r.freqOracles[i], r.st.FreqCounts[i], nF)
 			for v := range out {
 				out[v] += wF * fv.Estimate(v)
 			}
 		}
 		if nJ > 0 {
-			jv := freq.NewDebiasView(r.jointOracles[i], r.jointCounts[i], nJ)
+			jv := freq.NewDebiasView(r.jointOracles[i], r.st.JointCounts[i], nJ)
 			for v := range out {
 				out[v] += wJ * jv.Estimate(v)
 			}

@@ -9,19 +9,24 @@ import (
 	"ldp/internal/schema"
 )
 
-// AggState is the exported raw aggregate of a pipeline: the additive
-// sums, support counts, and reporter counts every estimate derives from,
-// summed across shards. Two states exported from pipelines with the same
-// Fingerprint combine by elementwise addition, and the estimates computed
-// from a sum of states are identical to the estimates a single pipeline
-// would compute after ingesting all the underlying reports — that
-// exactness is what the cluster fan-in tier is built on.
+// AggState is the one in-memory shape of a pipeline's aggregate: the
+// additive report counters, numeric sums, support counts, and reporter
+// counts every estimate derives from. Each shard folds reports into one,
+// the view builder keeps one per shard as its sync point, a Result holds
+// their sum, and StateSnapshot exports that sum. Two states exported from
+// pipelines with the same Fingerprint combine by elementwise addition, and
+// the estimates computed from a sum of states are identical to the
+// estimates a single pipeline would compute after ingesting all the
+// underlying reports — that exactness is what the cluster fan-in tier is
+// built on.
 //
 // Slices are indexed by schema attribute; FreqCounts/JointCounts entries
-// are nil for numeric attributes (mirroring the shard layout). Trainer,
-// when present, is a read-only observability snapshot: round-based
-// federated training state has no meaningful union, so MergeState rejects
-// states that carry it.
+// are nil for numeric attributes. Range and Trainer are set only on
+// exported states (shards fold range reports into a
+// rangequery.Accumulator and gradient reports into the Trainer). Trainer
+// is a read-only observability snapshot: round-based federated training
+// state has no meaningful union, so MergeState rejects states that carry
+// it.
 type AggState struct {
 	NMean  int64
 	NFreq  int64
@@ -63,7 +68,8 @@ func (st *AggState) Total() int64 {
 	return st.NMean + st.NFreq + st.NJoint + st.NRange
 }
 
-// newAggState allocates a zero state with the pipeline's shapes.
+// newAggState allocates a zero state with the pipeline's shapes: the one
+// allocator of shard, baseline, and exported states.
 func (p *Pipeline) newAggState() *AggState {
 	d := p.sch.Dim()
 	st := &AggState{
@@ -89,50 +95,14 @@ func (p *Pipeline) newAggState() *AggState {
 	return st
 }
 
-// StateSnapshot exports the pipeline's raw aggregate state, summed across
-// shards. Like Snapshot it locks shards one at a time, so concurrent
-// ingest on other shards proceeds; reports folded while the export is in
-// progress may or may not be included. The returned state shares no
-// memory with the pipeline.
+// StateSnapshot exports the pipeline's raw aggregate state: sumShards'
+// in-order sum, plus the range accumulator's state and a trainer snapshot.
+// Like Snapshot it locks shards one at a time, so concurrent ingest on
+// other shards proceeds; reports folded while the export is in progress
+// may or may not be included. The returned state shares no memory with
+// the pipeline.
 func (p *Pipeline) StateSnapshot() *AggState {
-	st := p.newAggState()
-	var rangeAcc *rangequery.Accumulator
-	if p.rangeT != nil {
-		rangeAcc = rangequery.NewAccumulator(p.rangeT.col)
-	}
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		st.NMean += sh.nMean
-		st.NFreq += sh.nFreq
-		st.NJoint += sh.nJoint
-		st.NRange += sh.nRange
-		for i, v := range sh.meanSum {
-			st.MeanSum[i] += v
-		}
-		for i, v := range sh.jointSum {
-			st.JointSum[i] += v
-		}
-		for i := range st.FreqCounts {
-			if dst := st.FreqCounts[i]; dst != nil {
-				for v, c := range sh.freqCounts[i] {
-					dst[v] += c
-				}
-				st.FreqN[i] += sh.freqN[i]
-			}
-		}
-		for i := range st.JointCounts {
-			if dst := st.JointCounts[i]; dst != nil {
-				for v, c := range sh.jointCounts[i] {
-					dst[v] += c
-				}
-				st.JointN[i] += sh.jointN[i]
-			}
-		}
-		if rangeAcc != nil {
-			rangeAcc.Merge(sh.rangeAcc)
-		}
-		sh.mu.Unlock()
-	}
+	st, rangeAcc := p.sumShards()
 	if rangeAcc != nil {
 		st.Range = rangeAcc.ExportState()
 	}
@@ -147,6 +117,60 @@ func (p *Pipeline) StateSnapshot() *AggState {
 		}
 	}
 	return st
+}
+
+// sumShards adds every shard's state into a fresh one, and every shard's
+// range accumulator into a fresh accumulator (nil without the range task),
+// locking one shard at a time. The float sums add in shard order, so
+// Snapshot, StateSnapshot, and the view builder's re-sum over its
+// baselines all produce the same bits.
+func (p *Pipeline) sumShards() (*AggState, *rangequery.Accumulator) {
+	st := p.newAggState()
+	var rangeAcc *rangequery.Accumulator
+	if p.rangeT != nil {
+		rangeAcc = rangequery.NewAccumulator(p.rangeT.col)
+	}
+	for _, sh := range p.shards {
+		sh.mu.Lock()
+		st.addScalars(&sh.st)
+		st.addCounts(&sh.st)
+		if rangeAcc != nil {
+			rangeAcc.Merge(sh.rangeAcc)
+		}
+		sh.mu.Unlock()
+	}
+	return st, rangeAcc
+}
+
+// addScalars adds o's report counters, numeric sums, and reporter counts
+// into st elementwise. Shapes must match.
+func (st *AggState) addScalars(o *AggState) {
+	st.NMean += o.NMean
+	st.NFreq += o.NFreq
+	st.NJoint += o.NJoint
+	st.NRange += o.NRange
+	addVec(st.MeanSum, o.MeanSum)
+	addVec(st.JointSum, o.JointSum)
+	addVec(st.FreqN, o.FreqN)
+	addVec(st.JointN, o.JointN)
+}
+
+// addCounts adds o's support-count columns into st elementwise. Shapes
+// must match.
+func (st *AggState) addCounts(o *AggState) {
+	for j, col := range o.FreqCounts {
+		addVec(st.FreqCounts[j], col)
+	}
+	for j, col := range o.JointCounts {
+		addVec(st.JointCounts[j], col)
+	}
+}
+
+func addVec[T int64 | float64](dst, src []T) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] += v
+	}
 }
 
 // CheckState validates a state's shape and values against the pipeline
@@ -268,34 +292,8 @@ func (p *Pipeline) MergeState(st *AggState) error {
 	sh := p.shards[idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.nMean += st.NMean
-	sh.nFreq += st.NFreq
-	sh.nJoint += st.NJoint
-	sh.nRange += st.NRange
-	for i, v := range st.MeanSum {
-		sh.meanSum[i] += v
-	}
-	for i, v := range st.JointSum {
-		sh.jointSum[i] += v
-	}
-	for i := range st.FreqCounts {
-		if src := st.FreqCounts[i]; src != nil {
-			dst := sh.freqCounts[i]
-			for v, c := range src {
-				dst[v] += c
-			}
-			sh.freqN[i] += st.FreqN[i]
-		}
-	}
-	for i := range st.JointCounts {
-		if src := st.JointCounts[i]; src != nil {
-			dst := sh.jointCounts[i]
-			for v, c := range src {
-				dst[v] += c
-			}
-			sh.jointN[i] += st.JointN[i]
-		}
-	}
+	sh.st.addScalars(st)
+	sh.st.addCounts(st)
 	if st.Range != nil {
 		if err := sh.rangeAcc.AddState(st.Range); err != nil {
 			// CheckState already validated shapes; this is unreachable, but
@@ -422,16 +420,10 @@ func (st *AggState) Add(o *AggState) error {
 	if o.Trainer != nil {
 		return fmt.Errorf("pipeline: adding federated training state is not supported")
 	}
-	if len(st.MeanSum) != len(o.MeanSum) || len(st.JointSum) != len(o.JointSum) {
-		return fmt.Errorf("pipeline: adding states of different shapes")
-	}
-	if err := addCols(st.FreqCounts, st.FreqN, o.FreqCounts, o.FreqN); err != nil {
-		return err
-	}
-	if err := addCols(st.JointCounts, st.JointN, o.JointCounts, o.JointN); err != nil {
-		return err
-	}
-	if (st.Range == nil) != (o.Range == nil) {
+	if len(st.MeanSum) != len(o.MeanSum) || len(st.JointSum) != len(o.JointSum) ||
+		len(st.FreqN) != len(o.FreqN) || len(st.JointN) != len(o.JointN) ||
+		!sameCols(st.FreqCounts, o.FreqCounts) || !sameCols(st.JointCounts, o.JointCounts) ||
+		(st.Range == nil) != (o.Range == nil) {
 		return fmt.Errorf("pipeline: adding states of different shapes")
 	}
 	if o.Range != nil {
@@ -439,35 +431,23 @@ func (st *AggState) Add(o *AggState) error {
 			return err
 		}
 	}
-	for i, v := range o.MeanSum {
-		st.MeanSum[i] += v
-	}
-	for i, v := range o.JointSum {
-		st.JointSum[i] += v
-	}
-	st.NMean += o.NMean
-	st.NFreq += o.NFreq
-	st.NJoint += o.NJoint
-	st.NRange += o.NRange
+	st.addScalars(o)
+	st.addCounts(o)
 	return nil
 }
 
-func addCols(ac [][]float64, an []int64, bc [][]float64, bn []int64) error {
-	if (ac == nil) != (bc == nil) || len(ac) != len(bc) {
-		return fmt.Errorf("pipeline: adding states of different shapes")
+// sameCols reports whether two count-column tables have the same shape:
+// both nil or neither, and column by column the same domain.
+func sameCols(a, b [][]float64) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
 	}
-	for j := range bc {
-		if (ac[j] == nil) != (bc[j] == nil) || len(ac[j]) != len(bc[j]) {
-			return fmt.Errorf("pipeline: adding states of different shapes")
-		}
-		for v, c := range bc[j] {
-			ac[j][v] += c
-		}
-		if bc[j] != nil {
-			an[j] += bn[j]
+	for j := range a {
+		if (a[j] == nil) != (b[j] == nil) || len(a[j]) != len(b[j]) {
+			return false
 		}
 	}
-	return nil
+	return true
 }
 
 // Clone deep-copies the state.

@@ -63,7 +63,7 @@ type viewCache struct {
 const shellSlabSize = 32
 
 // shellSlab hands out Result shells carved from blocks allocated a slab at
-// a time — the view builder's amortized replacement for newResultShell.
+// a time, so a rebuild does not pay one allocation per state slice.
 // Only the single-flight builder touches it (under view.mu), so it needs
 // no lock; make() zeroes the blocks, and each shell region is handed out
 // exactly once, so popped shells are always pristine.
@@ -82,26 +82,22 @@ type shellSlab struct {
 // setting bits on every fold event and clearing them only after a sync
 // under the same shard lock.
 type shardBaseline struct {
-	freq  [][]float64
-	joint [][]float64
-	rng   *rangequery.Accumulator
+	// st holds verbatim copies of the shard's counters, float sums, and
+	// reporter counts at the last sync, and its support counts as of each
+	// column's last sync. The builder re-sums the scalars in shard order
+	// for every rebuild, which is bit-identical to sumShards over the live
+	// shards (a skipped shard's copies equal its live state), while costing
+	// clean shards no lock acquisition.
+	st  AggState
+	rng *rangequery.Accumulator
 
 	// epoch is the shard's epoch counter at the last sync. Every fold
 	// path bumps the shard epoch under the shard lock together with
 	// setting dirty bits, and every sync captures it under the same lock
 	// while clearing them — so an unchanged epoch proves the shard saw no
 	// fold since the last sync and the whole visit (lock included) can be
-	// skipped: the scalar baselines below are still exact.
+	// skipped: the baseline is still exact.
 	epoch int64
-
-	// Scalar baselines: verbatim copies of the shard's counters and float
-	// sums at the last sync. The builder re-sums these in shard order for
-	// every rebuild, which is bit-identical to Snapshot's serial fold
-	// over the live shards (a skipped shard's copies equal its live
-	// state), while costing clean shards no lock acquisition.
-	nMean, nFreq, nJoint, nRange int64
-	meanSum, jointSum            []float64
-	freqN, jointN                []int64
 }
 
 // WithQueryStaleness bounds how stale the cached query view (Pipeline.View)
@@ -181,7 +177,7 @@ func (p *Pipeline) viewFresh(v *Result) bool {
 	if p.view.maxAge > 0 && time.Since(v.built) > p.view.maxAge {
 		return false
 	}
-	return p.Watermark()-v.watermark <= p.view.maxStale
+	return p.Watermark()-v.Watermark() <= p.view.maxStale
 }
 
 // refreshView rebuilds the cached view single-flight. Losers of the build
@@ -239,7 +235,7 @@ func (p *Pipeline) buildView() *Result {
 	full := prev == nil
 	if !full {
 		wm := p.Watermark()
-		if delta := wm - prev.watermark; float64(delta) > vc.incFrac*float64(wm) {
+		if delta := wm - prev.Watermark(); float64(delta) > vc.incFrac*float64(wm) {
 			full = true
 		}
 	}
@@ -255,34 +251,12 @@ func (p *Pipeline) ensureBuilderState() {
 		return
 	}
 	d := p.sch.Dim()
-	// The baselines live in one value slice, with the scalar float sums and
-	// reporter counts carved out of two shared backing arrays: the per-build
-	// scalar re-sum walks them front to back, so keeping every shard's
-	// scalars contiguous turns that walk into a linear scan instead of a
-	// pointer chase across per-shard allocations.
 	vc.base = make([]shardBaseline, len(p.shards))
-	sums := make([]float64, len(p.shards)*2*d)
-	nInts := 0
-	if p.freq != nil {
-		nInts += d
-	}
-	if p.joint.oracles != nil {
-		nInts += d
-	}
-	ns := make([]int64, len(p.shards)*nInts)
 	for i := range vc.base {
-		b := &vc.base[i]
-		b.meanSum = sums[2*i*d : (2*i+1)*d : (2*i+1)*d]
-		b.jointSum = sums[(2*i+1)*d : (2*i+2)*d : (2*i+2)*d]
-		ints := ns[i*nInts : (i+1)*nInts : (i+1)*nInts]
-		if p.freq != nil {
-			b.freqN = ints[:d:d]
-			ints = ints[d:]
+		vc.base[i].st = *p.newAggState()
+		if p.rangeT != nil {
+			vc.base[i].rng = rangequery.NewAccumulator(p.rangeT.col)
 		}
-		if p.joint.oracles != nil {
-			b.jointN = ints
-		}
-		p.initBaseline(b)
 	}
 	if p.rangeT != nil {
 		vc.aggRange = rangequery.NewAccumulator(p.rangeT.col)
@@ -299,34 +273,24 @@ func (p *Pipeline) ensureBuilderState() {
 	}
 }
 
-// initBaseline allocates the per-value state of one zeroed per-shard sync
-// point with the pipeline's shapes; the scalar baseline slices were carved
-// out of the shared backing arrays by ensureBuilderState.
-func (p *Pipeline) initBaseline(b *shardBaseline) {
-	d := p.sch.Dim()
+// shellShape returns the two dimensions every shell block is sized by: the
+// schema dimension and the number of registered count-column families.
+func (p *Pipeline) shellShape() (d, fams int) {
+	d = p.sch.Dim()
 	if p.freq != nil {
-		b.freq = make([][]float64, d)
-		for _, j := range p.freq.catIdx {
-			b.freq[j] = make([]float64, p.sch.Attrs[j].Cardinality)
-		}
+		fams++
 	}
 	if p.joint.oracles != nil {
-		b.joint = make([][]float64, d)
-		for j, o := range p.joint.oracles {
-			if o != nil {
-				b.joint[j] = make([]float64, o.Cardinality())
-			}
-		}
+		fams++
 	}
-	if p.rangeT != nil {
-		b.rng = rangequery.NewAccumulator(p.rangeT.col)
-	}
+	return d, fams
 }
 
 // newResultShellSlab pops one Result shell off the builder's slab,
-// refilling it (shellSlabSize shells per refill) when empty: the same
-// shell newResultShell builds, at a fraction of the per-rebuild allocation
-// cost. The caller holds view.mu.
+// refilling it (shellSlabSize shells per refill) when empty. The shell's
+// state has its scalar slices and its count-column tables carved from the
+// slab; the columns themselves are nil, for buildSync to seed. The caller
+// holds view.mu.
 func (p *Pipeline) newResultShellSlab() *Result {
 	s := &p.view.slab
 	if len(s.res) == 0 {
@@ -348,39 +312,46 @@ func (p *Pipeline) newResultShellSlab() *Result {
 	s.ns = s.ns[fams*d:]
 	cache := s.cache[:d:d]
 	s.cache = s.cache[d:]
-	p.fillResultShell(res, sums, cols, ns, cache)
+	res.st.MeanSum = sums[:d:d]
+	res.st.JointSum = sums[d : 2*d : 2*d]
+	if p.freq != nil {
+		res.st.FreqCounts, res.st.FreqN = cols[:d:d], ns[:d:d]
+		cols, ns = cols[d:], ns[d:]
+	}
+	if p.joint.oracles != nil {
+		res.st.JointCounts, res.st.JointN = cols[:d:d], ns[:d:d]
+	}
+	p.fillResult(res, cache)
 	return res
 }
 
 // buildSync builds the next view by folding each shard's delta against the
 // builder's per-shard baselines, in one shard-lock hold per shard: the
 // scalar counters, float sums, and reporter counts are re-summed in shard
-// order (cheap — O(shards x attrs) — and bit-identical to the serial and
-// parallel Snapshot fold order), while the expensive per-value support
-// counts move by baseline delta only where dirty bits say something
-// changed. In full mode every registered component syncs regardless of
-// bits — the same machinery, so the baselines stay current and incremental
-// rebuilds re-arm after any fallback. Support counts are integer-valued
-// float64 sums of indicators, so baseline-delta arithmetic is exact and an
-// incremental view is bit-identical to a full snapshot at the same
-// watermark. The caller holds view.mu.
+// order (cheap — O(shards x attrs) — and bit-identical to sumShards),
+// while the expensive per-value support counts move by baseline delta
+// only where dirty bits say something changed. In full mode every
+// registered component syncs regardless of bits — the same machinery, so
+// the baselines stay current and incremental rebuilds re-arm after any
+// fallback. Support counts are integer-valued float64 sums of indicators,
+// so baseline-delta arithmetic is exact and an incremental view is
+// bit-identical to a full snapshot at the same watermark. The caller
+// holds view.mu.
 func (p *Pipeline) buildSync(prev *Result, full bool) *Result {
 	vc := &p.view
 	res := p.newResultShellSlab()
 	fresh := prev == nil
 	if fresh {
+		// The first build has no view to alias: it syncs into zeroed
+		// columns.
 		full = true
-		p.allocCountCols(res)
+		res.st = *p.newAggState()
 	} else {
 		// Seed the count columns aliasing the previous view's; syncFamily
 		// copies a column the moment its first delta lands (published
 		// views are immutable), and clean columns stay shared.
-		if res.freqCounts != nil {
-			copy(res.freqCounts, prev.freqCounts)
-		}
-		if res.jointCounts != nil {
-			copy(res.jointCounts, prev.jointCounts)
-		}
+		copy(res.st.FreqCounts, prev.st.FreqCounts)
+		copy(res.st.JointCounts, prev.st.JointCounts)
 		vc.cpF.zero()
 		vc.cpJ.zero()
 	}
@@ -405,25 +376,17 @@ func (p *Pipeline) buildSync(prev *Result, full bool) *Result {
 		}
 		sh.mu.Lock()
 		base.epoch = sh.epoch.Load()
-		base.nMean, base.nFreq = sh.nMean, sh.nFreq
-		base.nJoint, base.nRange = sh.nJoint, sh.nRange
-		copy(base.meanSum, sh.meanSum)
-		copy(base.jointSum, sh.jointSum)
-		if base.freqN != nil {
-			copy(base.freqN, sh.freqN)
-		}
-		if base.jointN != nil {
-			copy(base.jointN, sh.jointN)
-		}
+		b, cur := &base.st, &sh.st
+		b.NMean, b.NFreq, b.NJoint, b.NRange = cur.NMean, cur.NFreq, cur.NJoint, cur.NRange
+		copy(b.MeanSum, cur.MeanSum)
+		copy(b.JointSum, cur.JointSum)
+		copy(b.FreqN, cur.FreqN)
+		copy(b.JointN, cur.JointN)
 		if sh.dFreq.any() || sh.dJoint.any() || sh.dLevel.any() || sh.dGrid.any() {
 			dirtyShards++
 		}
-		if res.freqCounts != nil {
-			syncFamily(full, fresh, sh.dFreq, vc.uFreq, vc.cpF, res.freqCounts, sh.freqCounts, base.freq)
-		}
-		if res.jointCounts != nil {
-			syncFamily(full, fresh, sh.dJoint, vc.uJoint, vc.cpJ, res.jointCounts, sh.jointCounts, base.joint)
-		}
+		syncFamily(full, fresh, sh.dFreq, vc.uFreq, vc.cpF, res.st.FreqCounts, sh.st.FreqCounts, base.st.FreqCounts)
+		syncFamily(full, fresh, sh.dJoint, vc.uJoint, vc.cpJ, res.st.JointCounts, sh.st.JointCounts, base.st.JointCounts)
 		if sh.rangeAcc != nil {
 			if full {
 				for li := 0; li < p.lvlSlots; li++ {
@@ -454,32 +417,11 @@ func (p *Pipeline) buildSync(prev *Result, full bool) *Result {
 		sh.mu.Unlock()
 	}
 	// Scalars re-sum from the baselines serially in shard order — the
-	// same values in the same order as Snapshot's serial fold over the
-	// live shards, so the float sums are bit-identical.
+	// same values in the same order as sumShards over the live shards, so
+	// the float sums are bit-identical.
 	for bi := range vc.base {
-		base := &vc.base[bi]
-		res.nMean += base.nMean
-		res.nFreq += base.nFreq
-		res.nJoint += base.nJoint
-		res.nRange += base.nRange
-		for i, v := range base.meanSum {
-			res.meanSum[i] += v
-		}
-		for i, v := range base.jointSum {
-			res.jointSum[i] += v
-		}
-		if res.freqN != nil {
-			for i, n := range base.freqN {
-				res.freqN[i] += n
-			}
-		}
-		if res.jointN != nil {
-			for i, n := range base.jointN {
-				res.jointN[i] += n
-			}
-		}
+		res.st.addScalars(&vc.base[bi].st)
 	}
-	res.watermark = res.nMean + res.nFreq + res.nJoint + res.nRange
 	if vc.aggRange != nil {
 		switch {
 		case full || prev.rangeView == nil:
@@ -493,7 +435,7 @@ func (p *Pipeline) buildSync(prev *Result, full bool) *Result {
 			res.rangeView = vc.aggRange.RebuildView(prev.rangeView, vc.uLevel.get, vc.uGrid.get)
 		}
 	}
-	if !full && res.freqCache != nil && prev.freqCache != nil {
+	if !full {
 		// Forward the memoized debias results of untouched attributes:
 		// their inputs are unchanged, so the cached combined estimates are
 		// still exact and the first query per attribute stays a lookup.

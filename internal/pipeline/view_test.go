@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -76,9 +77,21 @@ func queryAll(t testing.TB, res *Result) []float64 {
 
 // TestViewMatchesSnapshot is the view-cache correctness anchor: at a
 // quiescent watermark, the cached view must answer every query kind
-// bit-exactly like a fresh uncached Snapshot.
+// bit-exactly like a fresh uncached Snapshot, at several shard counts.
+// The reports are raw randomizer output (no snapping of numeric values),
+// so the float sums match only because every path adds the shards in the
+// same order. The exported state carries that order too: a fresh
+// one-shard pipeline that merges it answers exactly like the source.
 func TestViewMatchesSnapshot(t *testing.T) {
-	p := viewTestPipeline(t)
+	for _, shards := range []int{1, 3, 4, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testViewMatchesSnapshot(t, shards)
+		})
+	}
+}
+
+func testViewMatchesSnapshot(t *testing.T, shards int) {
+	p := viewTestPipeline(t, WithShards(shards))
 	ingestReports(t, p, 11, 5000)
 
 	view := p.View()
@@ -121,6 +134,17 @@ func TestViewMatchesSnapshot(t *testing.T) {
 	for i := range va2 {
 		if va2[i] != sa2[i] {
 			t.Fatalf("answer %d after rebuild: view %v != snapshot %v", i, va2[i], sa2[i])
+		}
+	}
+
+	one := viewTestPipeline(t, WithShards(1))
+	if err := one.MergeState(p.StateSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	ma := queryAll(t, one.Snapshot())
+	for i := range ma {
+		if ma[i] != sa2[i] {
+			t.Fatalf("answer %d: one-shard merge of the exported state %v != snapshot %v", i, ma[i], sa2[i])
 		}
 	}
 }

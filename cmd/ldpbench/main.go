@@ -7,9 +7,9 @@
 //	ldpbench -exp fig4 [-n 200000] [-runs 10] [-eps 0.5,1,2,4] [-format tsv]
 //	ldpbench -exp all
 //
-// Results print to stdout (or -out FILE) as aligned text or TSV. See
-// DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
-// paper-vs-measured outcomes.
+// Results print to stdout (or -out FILE) as aligned text or TSV. -list
+// prints the experiment index; TestGoldenTables in internal/experiment
+// pins the paper tables' output bit for bit.
 package main
 
 import (

@@ -1,5 +1,5 @@
 // Command ldpgen generates synthetic census datasets (the BR-like and
-// MX-like populations described in DESIGN.md) as CSV files.
+// MX-like populations of internal/dataset) as CSV files.
 //
 // Usage:
 //

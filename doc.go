@@ -14,7 +14,11 @@
 // kind. The paper's mixed-attribute collector (Algorithm 4 with Section
 // IV-C's categorical extension) is the pipeline's JointTask: it samples k
 // of all d attributes at eps/k each, and its reports fold into the same
-// state.
+// state. The mean and frequency tasks run the same sampling step over the
+// numeric and the categorical attributes alone, the gradient task over a
+// gradient's coordinates, and NumericCollector over an all-numeric tuple:
+// one implementation of Algorithm 4 fixes k, the d/k scale and the order
+// in which a user's randomness is drawn for all of them.
 //
 //	sch, _ := ldp.NewSchema(
 //	    ldp.Attribute{Name: "age", Kind: ldp.Numeric},

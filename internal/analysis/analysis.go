@@ -105,7 +105,8 @@ func MaxVarPMMulti(eps float64, d int) float64 { return VarPMMulti(eps, d, 1) }
 // VarHMMulti returns the per-coordinate variance of Algorithm 4 with an HM
 // inner mechanism for coordinate value t. It follows the derivation
 // Var = (d/k) E[x^2] - t^2 (the paper's Eq. 15 lower branch prints
-// "+ (d/k-1)t^2" where the derivation gives "- t^2"; see DESIGN.md).
+// "+ (d/k-1)t^2" where the derivation gives "- t^2"; see
+// core.Sampler.CoordinateVariance).
 func VarHMMulti(eps float64, d int, t float64) float64 {
 	k := float64(core.KFor(eps, d))
 	budget := eps / k

@@ -25,82 +25,117 @@ func KFor(eps float64, d int) int {
 	return k
 }
 
-// NumericCollector is Algorithm 4 restricted to all-numeric tuples in
-// [-1, 1]^d: each user samples k attribute indices without replacement,
-// perturbs each sampled value with a 1-D mechanism (PM or HM) at budget
-// eps/k, and scales the result by d/k. Unsampled coordinates report 0, so
-// the dense output vector is coordinate-wise unbiased (Lemma 4).
-type NumericCollector struct {
-	name  string
+// Sampler is Algorithm 4's sampling step over a set of d positions (a
+// tuple's attributes, a subset of them, or a gradient's coordinates): each
+// user samples k of the d positions without replacement and perturbs each
+// sampled numeric value with a 1-D mechanism at budget eps/k, scaled by
+// d/k. Unsampled positions report nothing, so every coordinate is unbiased
+// over the users (Lemma 4). Categorical positions are perturbed by the
+// caller's frequency oracles at Budget(); a categorical-only set has no
+// numeric mechanism.
+type Sampler struct {
 	eps   float64
 	d     int
 	k     int
 	scale float64
-	inner mech.Mechanism
+	inner mech.Mechanism // nil for a categorical-only set
 }
 
-// NewNumericCollector builds the collector for dimension d and total budget
-// eps, using factory (typically NewPiecewise or NewHybrid) for the 1-D
-// mechanism at budget eps/k.
-func NewNumericCollector(factory mech.Factory, eps float64, d int) (*NumericCollector, error) {
-	if err := mech.ValidateEpsilon(eps); err != nil {
-		return nil, err
-	}
-	if d < 1 {
-		return nil, fmt.Errorf("core: dimension must be >= 1, got %d", d)
-	}
-	k := KFor(eps, d)
-	inner, err := factory(eps / float64(k))
-	if err != nil {
-		return nil, err
-	}
-	return &NumericCollector{
-		name:  "sampled-" + inner.Name(),
-		eps:   eps,
-		d:     d,
-		k:     k,
-		scale: float64(d) / float64(k),
-		inner: inner,
-	}, nil
-}
-
-// NewNumericCollectorK is NewNumericCollector with an explicit k, used by
-// the k-ablation experiment. The paper's rule is KFor.
-func NewNumericCollectorK(factory mech.Factory, eps float64, d, k int) (*NumericCollector, error) {
+// NewSampler builds the sampler for d positions at total budget eps with k
+// sampled positions (the paper's rule is KFor(eps, d)). factory builds the
+// 1-D numeric mechanism at eps/k; pass nil for a categorical-only set.
+func NewSampler(factory mech.Factory, eps float64, d, k int) (*Sampler, error) {
 	if err := mech.ValidateEpsilon(eps); err != nil {
 		return nil, err
 	}
 	if d < 1 || k < 1 || k > d {
 		return nil, fmt.Errorf("core: need 1 <= k <= d, got k=%d d=%d", k, d)
 	}
-	inner, err := factory(eps / float64(k))
+	s := &Sampler{eps: eps, d: d, k: k, scale: float64(d) / float64(k)}
+	if factory != nil {
+		inner, err := factory(s.Budget())
+		if err != nil {
+			return nil, err
+		}
+		s.inner = inner
+	}
+	return s, nil
+}
+
+// Epsilon returns the total budget of one user's report.
+func (s *Sampler) Epsilon() float64 { return s.eps }
+
+// Dim returns d, the number of positions sampled from.
+func (s *Sampler) Dim() int { return s.d }
+
+// K returns the number of positions each user reports.
+func (s *Sampler) K() int { return s.k }
+
+// Budget returns eps/k, the budget each sampled position is perturbed at.
+func (s *Sampler) Budget() float64 { return s.eps / float64(s.k) }
+
+// Inner returns the 1-D mechanism running at eps/k, or nil for a
+// categorical-only set.
+func (s *Sampler) Inner() mech.Mechanism { return s.inner }
+
+// Sample draws the k positions one user reports, in shuffle order. Callers
+// perturb the sampled values after the draw and in the order returned:
+// seeded reports, and every golden table computed from them, depend on
+// that order.
+func (s *Sampler) Sample(r *rng.Rand) []int {
+	return rng.SampleWithoutReplacement(r, s.d, s.k)
+}
+
+// Perturb returns the d/k-scaled perturbation of the numeric value v at a
+// sampled position.
+func (s *Sampler) Perturb(v float64, r *rng.Rand) float64 {
+	return s.scale * s.inner.Perturb(v, r)
+}
+
+// CoordinateVariance returns the variance of one coordinate of the
+// sampler's output over users, for input value t in [-1, 1]: the
+// coordinate is (d/k)x with probability k/d and 0 otherwise, x the inner
+// mechanism's output, so Var = (d/k) E[x^2] - t^2 with
+// E[x^2] = Var_inner(t) + t^2. With a PM inner mechanism this is the
+// paper's Eq. 14. With HM below eps* the paper's Eq. 15 prints
+// "+ (d/k - 1) t^2" where this derivation gives "- t^2"; the derivation is
+// what the variance tests measure, so it is what this returns.
+func (s *Sampler) CoordinateVariance(t float64) float64 {
+	t = mech.Clamp1(t)
+	ex2 := s.inner.Variance(t) + t*t
+	return s.scale*ex2 - t*t
+}
+
+// NumericCollector is Algorithm 4 restricted to all-numeric tuples in
+// [-1, 1]^d: a Sampler over the d coordinates writing a dense output, with
+// 0 at every unsampled coordinate.
+type NumericCollector struct {
+	*Sampler
+	name string
+}
+
+// NewNumericCollector builds the collector for dimension d and total budget
+// eps, using factory (typically NewPiecewise or NewHybrid) for the 1-D
+// mechanism at budget eps/k, k = KFor(eps, d).
+func NewNumericCollector(factory mech.Factory, eps float64, d int) (*NumericCollector, error) {
+	if d < 1 {
+		return nil, fmt.Errorf("core: dimension must be >= 1, got %d", d)
+	}
+	return NewNumericCollectorK(factory, eps, d, KFor(eps, d))
+}
+
+// NewNumericCollectorK is NewNumericCollector with an explicit k, used by
+// the k-ablation experiment. The paper's rule is KFor.
+func NewNumericCollectorK(factory mech.Factory, eps float64, d, k int) (*NumericCollector, error) {
+	s, err := NewSampler(factory, eps, d, k)
 	if err != nil {
 		return nil, err
 	}
-	return &NumericCollector{
-		name:  "sampled-" + inner.Name(),
-		eps:   eps,
-		d:     d,
-		k:     k,
-		scale: float64(d) / float64(k),
-		inner: inner,
-	}, nil
+	return &NumericCollector{Sampler: s, name: "sampled-" + s.inner.Name()}, nil
 }
 
 // Name returns "sampled-" plus the inner mechanism name.
 func (c *NumericCollector) Name() string { return c.name }
-
-// Epsilon returns the total tuple budget.
-func (c *NumericCollector) Epsilon() float64 { return c.eps }
-
-// Dim returns d.
-func (c *NumericCollector) Dim() int { return c.d }
-
-// K returns the number of attributes each user reports.
-func (c *NumericCollector) K() int { return c.k }
-
-// Inner returns the 1-D mechanism running at eps/k.
-func (c *NumericCollector) Inner() mech.Mechanism { return c.inner }
 
 // PerturbVector runs Algorithm 4 on a tuple of length Dim(). It returns a
 // freshly allocated vector; hot loops should reuse a buffer through
@@ -128,25 +163,13 @@ func (c *NumericCollector) PerturbVectorInto(dst, t []float64, r *rng.Rand) []fl
 			dst[i] = 0
 		}
 	}
-	for _, j := range rng.SampleWithoutReplacement(r, c.d, c.k) {
-		dst[j] = c.scale * c.inner.Perturb(t[j], r)
+	for _, j := range c.Sample(r) {
+		dst[j] = c.Perturb(t[j], r)
 	}
 	return dst
 }
 
 var _ mech.VectorPerturberInto = (*NumericCollector)(nil)
-
-// CoordinateVariance returns the per-coordinate variance of the dense
-// output for input value t: Var = (d/k) E[x^2] - t^2 with
-// E[x^2] = Var_inner(t) + t^2. With a PM inner mechanism this reduces to
-// Eq. 14 of the paper. (For the HM inner below eps*, the paper's Eq. 15
-// prints "+ (d/k-1) t^2" where the derivation gives "- t^2"; this
-// implementation follows the derivation — see DESIGN.md.)
-func (c *NumericCollector) CoordinateVariance(t float64) float64 {
-	t = mech.Clamp1(t)
-	ex2 := c.inner.Variance(t) + t*t
-	return c.scale*ex2 - t*t
-}
 
 // WorstCaseCoordinateVariance maximizes CoordinateVariance over t in
 // [-1, 1]. The variance is quadratic in t^2 so the maximum is at t = 0 or

@@ -7,7 +7,7 @@ import (
 
 	"ldp/internal/mech"
 	"ldp/internal/rng"
-	"ldp/internal/stats"
+	"ldp/internal/stattest"
 )
 
 func pmFactory(eps float64) (mech.Mechanism, error) { return NewPiecewise(eps) }
@@ -70,6 +70,28 @@ func TestNumericCollectorValidation(t *testing.T) {
 	}
 	if _, err := NewNumericCollectorK(pmFactory, 1, 4, 0); err == nil {
 		t.Error("want error for k=0")
+	}
+}
+
+// TestSamplerCategoricalOnly: without a numeric mechanism the sampler
+// still fixes k, the budget per sampled attribute and the sample itself.
+func TestSamplerCategoricalOnly(t *testing.T) {
+	s, err := NewSampler(nil, 8, 10, KFor(8, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Inner() != nil || s.Dim() != 10 || s.K() != 3 || s.Epsilon() != 8 || s.Budget() != 8.0/3 {
+		t.Fatalf("sampler: inner %v, d %d, k %d, eps %v, budget %v", s.Inner(), s.Dim(), s.K(), s.Epsilon(), s.Budget())
+	}
+	seen := map[int]bool{}
+	for _, j := range s.Sample(rng.New(3)) {
+		if j < 0 || j >= 10 || seen[j] {
+			t.Fatalf("sampled position %d out of range or repeated", j)
+		}
+		seen[j] = true
+	}
+	if len(seen) != 3 {
+		t.Fatalf("sampled %d positions, want 3", len(seen))
 	}
 }
 
@@ -141,7 +163,7 @@ func TestNumericCollectorVarianceMatchesEq14(t *testing.T) {
 	r := rng.New(22)
 	in := []float64{0, 0.5, -0.7, 1, 0.2}
 	const n = 300000
-	accs := make([]stats.Running, 5)
+	accs := make([]stattest.Running, 5)
 	for i := 0; i < n; i++ {
 		for j, v := range c.PerturbVector(in, r) {
 			accs[j].Add(v)

@@ -7,7 +7,7 @@ import (
 	"ldp/internal/duchi"
 	"ldp/internal/mathx"
 	"ldp/internal/rng"
-	"ldp/internal/stats"
+	"ldp/internal/stattest"
 )
 
 func TestNewHybridAlphaRule(t *testing.T) {
@@ -45,7 +45,7 @@ func TestHybridUnbiased(t *testing.T) {
 	for _, eps := range []float64{0.5, 1, 4} {
 		m, _ := NewHybrid(eps)
 		for _, ti := range []float64{-1, 0, 0.6, 1} {
-			var acc stats.Running
+			var acc stattest.Running
 			for i := 0; i < n; i++ {
 				acc.Add(m.Perturb(ti, r))
 			}
@@ -64,7 +64,7 @@ func TestHybridVarianceIsAlphaMixture(t *testing.T) {
 	pm, _ := NewPiecewise(2)
 	du, _ := duchi.NewOneDim(2)
 	for _, ti := range []float64{0, 0.5, 1} {
-		var acc stats.Running
+		var acc stattest.Running
 		for i := 0; i < n; i++ {
 			acc.Add(m.Perturb(ti, r))
 		}

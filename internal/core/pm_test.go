@@ -7,7 +7,7 @@ import (
 
 	"ldp/internal/mathx"
 	"ldp/internal/rng"
-	"ldp/internal/stats"
+	"ldp/internal/stattest"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -51,7 +51,7 @@ func TestPiecewiseUnbiased(t *testing.T) {
 	for _, eps := range []float64{0.5, 1, 4} {
 		m, _ := NewPiecewise(eps)
 		for _, ti := range []float64{-1, -0.4, 0, 0.7, 1} {
-			var acc stats.Running
+			var acc stattest.Running
 			for i := 0; i < n; i++ {
 				acc.Add(m.Perturb(ti, r))
 			}
@@ -69,7 +69,7 @@ func TestPiecewiseVarianceMatchesLemma1(t *testing.T) {
 	for _, eps := range []float64{1, 3} {
 		m, _ := NewPiecewise(eps)
 		for _, ti := range []float64{0, 0.5, 1} {
-			var acc stats.Running
+			var acc stattest.Running
 			for i := 0; i < n; i++ {
 				acc.Add(m.Perturb(ti, r))
 			}
@@ -205,7 +205,7 @@ func TestPiecewiseClampsInput(t *testing.T) {
 	}
 	r := rng.New(5)
 	const n = 200000
-	var a, b stats.Running
+	var a, b stattest.Running
 	for i := 0; i < n; i++ {
 		a.Add(m.Perturb(3, r))
 	}

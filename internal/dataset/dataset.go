@@ -1,9 +1,10 @@
 // Package dataset provides the workloads of the paper's Section VI:
 //
 //   - synthetic census populations shaped like the IPUMS BR and MX
-//     extracts the paper uses (the real extracts are not redistributable;
-//     see DESIGN.md for the substitution argument): BR has 16 attributes
-//     (6 numeric + 10 categorical), MX has 19 (5 numeric + 14
+//     extracts the paper uses (the real extracts are not redistributable,
+//     and the experiments compare mechanisms on one population, so they
+//     need the extracts' schema shape, not their records): BR has 16
+//     attributes (6 numeric + 10 categorical), MX has 19 (5 numeric + 14
 //     categorical), and after the Section VI-B one-hot encoding their ERM
 //     dimensionalities are 90 and 94, exactly as in the paper;
 //   - the purely numeric synthetic sources of Figures 5 and 6: truncated

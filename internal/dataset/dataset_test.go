@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"ldp/internal/rng"
-	"ldp/internal/stats"
+	"ldp/internal/stattest"
 )
 
 func TestSourcesStayInDomain(t *testing.T) {
@@ -38,7 +38,7 @@ func TestGaussianSourceMean(t *testing.T) {
 	s := NewGaussianSource(4, 1.0/3)
 	r := rng.New(2)
 	buf := make([]float64, 4)
-	var acc stats.Running
+	var acc stattest.Running
 	for i := 0; i < 100000; i++ {
 		s.Fill(buf, r)
 		acc.Add(buf[0])
@@ -140,7 +140,12 @@ func TestCensusCorrelationEducationIncome(t *testing.T) {
 }
 
 func pearson(a, b []float64) float64 {
-	ma, mb := stats.Mean(a), stats.Mean(b)
+	var ra, rb stattest.Running
+	for i := range a {
+		ra.Add(a[i])
+		rb.Add(b[i])
+	}
+	ma, mb := ra.Mean(), rb.Mean()
 	var num, va, vb float64
 	for i := range a {
 		num += (a[i] - ma) * (b[i] - mb)

@@ -7,7 +7,7 @@ import (
 
 	"ldp/internal/mech"
 	"ldp/internal/rng"
-	"ldp/internal/stats"
+	"ldp/internal/stattest"
 )
 
 func TestNewOneDimInvalidEpsilon(t *testing.T) {
@@ -47,7 +47,7 @@ func TestOneDimUnbiased(t *testing.T) {
 	for _, eps := range []float64{0.5, 1, 4} {
 		m, _ := NewOneDim(eps)
 		for _, ti := range []float64{-1, -0.4, 0, 0.7, 1} {
-			var acc stats.Running
+			var acc stattest.Running
 			for i := 0; i < n; i++ {
 				acc.Add(m.Perturb(ti, r))
 			}
@@ -64,7 +64,7 @@ func TestOneDimEmpiricalVarianceMatchesEq4(t *testing.T) {
 	const n = 400000
 	m, _ := NewOneDim(2)
 	for _, ti := range []float64{0, 0.5, 1} {
-		var acc stats.Running
+		var acc stattest.Running
 		for i := 0; i < n; i++ {
 			acc.Add(m.Perturb(ti, r))
 		}
@@ -235,7 +235,7 @@ func TestMultiCoordinateVarianceMatchesEq13(t *testing.T) {
 	r := rng.New(8)
 	in := []float64{0, 0.5, -0.7, 1}
 	const n = 300000
-	accs := make([]stats.Running, 4)
+	accs := make([]stattest.Running, 4)
 	for i := 0; i < n; i++ {
 		out := m.PerturbVector(in, r)
 		for j, v := range out {

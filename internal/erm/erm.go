@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"ldp/internal/core"
 	"ldp/internal/dataset"
 	"ldp/internal/mech"
 	"ldp/internal/rng"
@@ -152,7 +153,7 @@ var ErrNoExamples = errors.New("erm: no training examples")
 // When the gradient perturber is not PM-based, size the group from that
 // mechanism's own variance with GroupSizeForVariance instead.
 func DefaultGroupSize(n, d int, eps float64) int {
-	k := float64(maxInt(1, minInt(d, int(eps/2.5))))
+	k := float64(core.KFor(eps, d))
 	e := math.Exp(eps / (2 * k))
 	perCoordVar := float64(d) / k * 4 * e / (3 * (e - 1) * (e - 1))
 	return GroupSizeForVariance(n, perCoordVar)
@@ -171,20 +172,6 @@ func GroupSizeForVariance(n int, perCoordVar float64) int {
 		g = max
 	}
 	return g
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Train runs group-based SGD. Each user's gradient is clipped
@@ -288,10 +275,10 @@ type SplitEval struct {
 	MSE               float64
 }
 
-// EvaluateSplits runs `splits` random 90/10 train/test evaluations (the
-// cheaper stand-in for the paper's 5x 10-fold cross validation; see
-// DESIGN.md) and returns the per-split metrics. buildPert constructs a
-// fresh perturber per split (nil trains non-privately).
+// EvaluateSplits runs `splits` random 90/10 train/test evaluations (a
+// cheaper stand-in for the paper's 5x 10-fold cross validation, with the
+// same 90/10 proportions) and returns the per-split metrics. buildPert
+// constructs a fresh perturber per split (nil trains non-privately).
 func EvaluateSplits(cfg Config, examples []dataset.ERMExample, buildPert func() (mech.VectorPerturber, error), splits int, seed uint64) ([]SplitEval, error) {
 	if len(examples) < 10 {
 		return nil, fmt.Errorf("erm: need at least 10 examples, got %d", len(examples))

@@ -1,8 +1,8 @@
 // Package experiment regenerates every table and figure of the paper's
-// evaluation (Section VI) plus the design-choice ablations listed in
-// DESIGN.md. Each experiment is a named Runner producing one or more
-// Tables; cmd/ldpbench and the repository's benchmark suite are thin
-// wrappers around this package.
+// evaluation (Section VI) plus design-choice ablations (the ablation-*
+// entries of the registry). Each experiment is a named Runner producing
+// one or more Tables; cmd/ldpbench and the repository's benchmark suite
+// are thin wrappers around this package.
 //
 // Experiments are deterministic for a fixed Options.Seed: user i of run r
 // always draws from the same PRNG stream regardless of parallelism.
@@ -21,9 +21,11 @@ import (
 )
 
 // Options control experiment scale. The defaults reproduce the paper's
-// comparisons at laptop scale (see DESIGN.md for the scaling argument);
-// raise N, Runs and ERMUsers toward the paper's 4M/100-run configuration
-// when more time is available.
+// comparisons at laptop scale: every mean and frequency estimator here is
+// unbiased with variance proportional to 1/N, so a smaller N scales all of
+// a figure's MSEs alike and keeps the comparisons; raise N, Runs and
+// ERMUsers toward the paper's 4M/100-run configuration when more time is
+// available.
 type Options struct {
 	// N is the population size for mean/frequency estimation experiments.
 	N int

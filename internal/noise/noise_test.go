@@ -6,7 +6,7 @@ import (
 
 	"ldp/internal/mathx"
 	"ldp/internal/rng"
-	"ldp/internal/stats"
+	"ldp/internal/stattest"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -36,7 +36,7 @@ func TestLaplaceUnbiasedAndVariance(t *testing.T) {
 	m, _ := NewLaplace(1)
 	r := rng.New(1)
 	const n = 400000
-	var acc stats.Running
+	var acc stattest.Running
 	for i := 0; i < n; i++ {
 		acc.Add(m.Perturb(0.25, r))
 	}
@@ -111,7 +111,7 @@ func TestBandedUnbiased(t *testing.T) {
 			Variance(float64) float64
 			Name() string
 		}{sc, st} {
-			var acc stats.Running
+			var acc stattest.Running
 			for i := 0; i < n; i++ {
 				acc.Add(m.Perturb(-0.6, r))
 			}
@@ -134,7 +134,7 @@ func TestBandedEmpiricalVarianceMatchesAnalytic(t *testing.T) {
 			Variance(float64) float64
 			Name() string
 		}{sc, st} {
-			var acc stats.Running
+			var acc stattest.Running
 			for i := 0; i < n; i++ {
 				acc.Add(m.Perturb(0, r))
 			}

@@ -88,12 +88,8 @@ func WithGradient(cfg GradientConfig) Option {
 // coordinates, perturb each with the 1-D mechanism at eps/k, scale by
 // d/k so the report is coordinate-wise unbiased over the round's group.
 type GradientTask struct {
-	dim    int
+	smp    *core.Sampler
 	rounds int
-	k      int
-	scale  float64
-	eps    float64
-	inner  mech.Mechanism
 }
 
 func newGradientTask(eps float64, cfg GradientConfig, fallback mech.Factory) (*GradientTask, error) {
@@ -101,19 +97,11 @@ func newGradientTask(eps float64, cfg GradientConfig, fallback mech.Factory) (*G
 	if factory == nil {
 		factory = fallback
 	}
-	k := core.KFor(eps, cfg.Dim)
-	inner, err := factory(eps / float64(k))
+	smp, err := core.NewSampler(factory, eps, cfg.Dim, core.KFor(eps, cfg.Dim))
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: gradient task mechanism: %w", err)
 	}
-	return &GradientTask{
-		dim:    cfg.Dim,
-		rounds: cfg.Rounds,
-		k:      k,
-		scale:  float64(cfg.Dim) / float64(k),
-		eps:    eps,
-		inner:  inner,
-	}, nil
+	return &GradientTask{smp: smp, rounds: cfg.Rounds}, nil
 }
 
 // Kind returns TaskGradient.
@@ -123,16 +111,16 @@ func (t *GradientTask) Kind() TaskKind { return TaskGradient }
 func (t *GradientTask) Name() string { return "gradient" }
 
 // Dim returns the gradient dimensionality.
-func (t *GradientTask) Dim() int { return t.dim }
+func (t *GradientTask) Dim() int { return t.smp.Dim() }
 
 // K returns the number of coordinates each user reports.
-func (t *GradientTask) K() int { return t.k }
+func (t *GradientTask) K() int { return t.smp.K() }
 
 // Epsilon returns the task's total budget (the pipeline budget).
-func (t *GradientTask) Epsilon() float64 { return t.eps }
+func (t *GradientTask) Epsilon() float64 { return t.smp.Epsilon() }
 
 // Mechanism returns the 1-D mechanism running at eps/k.
-func (t *GradientTask) Mechanism() mech.Mechanism { return t.inner }
+func (t *GradientTask) Mechanism() mech.Mechanism { return t.smp.Inner() }
 
 // Randomize implements Task. Gradient reports are not derived from schema
 // tuples, so tuple routing never selects this task; it exists to keep the
@@ -147,18 +135,18 @@ func (t *GradientTask) Randomize(schema.Tuple, *rng.Rand) (Report, error) {
 // clipping), so callers pass the raw loss gradient. It runs entirely on
 // the user's side; only the Report leaves the device.
 func (t *GradientTask) RandomizeGradient(round int, grad []float64, r *rng.Rand) (Report, error) {
-	if len(grad) != t.dim {
-		return Report{}, fmt.Errorf("pipeline: gradient has %d coordinates, task built for %d", len(grad), t.dim)
+	if len(grad) != t.smp.Dim() {
+		return Report{}, fmt.Errorf("pipeline: gradient has %d coordinates, task built for %d", len(grad), t.smp.Dim())
 	}
 	if round < 0 || round >= t.rounds {
 		return Report{}, fmt.Errorf("pipeline: gradient round %d outside [0,%d)", round, t.rounds)
 	}
-	entries := make([]core.Entry, 0, t.k)
-	for _, j := range rng.SampleWithoutReplacement(r, t.dim, t.k) {
+	entries := make([]core.Entry, 0, t.smp.K())
+	for _, j := range t.smp.Sample(r) {
 		entries = append(entries, core.Entry{
 			Attr:  j,
 			Kind:  core.EntryNumeric,
-			Value: t.scale * t.inner.Perturb(mech.Clamp1(grad[j]), r),
+			Value: t.smp.Perturb(mech.Clamp1(grad[j]), r),
 		})
 	}
 	return Report{Task: TaskGradient, Round: int32(round), Entries: entries}, nil

@@ -21,6 +21,12 @@
 // It is never routed; callers randomize through Pipeline.JointTask, and
 // its reports fold into the same state as every other task's.
 //
+// The mean, freq and joint tasks are one randomizer over different
+// attribute sets (numeric, categorical, all; see tasks.go), and it and the
+// gradient task draw through core.Sampler: k, the d/k scale and the order
+// of a user's random draws (the sample first, then each sampled attribute
+// in the order drawn) are defined once.
+//
 // Each user is routed to exactly one task (a data-independent coin flip)
 // and spends the entire budget eps on that task's randomizer, in the
 // user-partition spirit of the paper's Algorithm 4 and the RS+FD /
@@ -312,22 +318,21 @@ func New(s *schema.Schema, eps float64, opts ...Option) (*Pipeline, error) {
 	}
 
 	p := &Pipeline{sch: s, eps: eps}
-	numIdx, catIdx := s.NumericIdx(), s.CategoricalIdx()
-	if len(numIdx) > 0 {
-		t, err := newMeanTask(s, eps, cfg.mechFactory)
+	if numIdx := s.NumericIdx(); len(numIdx) > 0 {
+		a, err := newSampled(TaskMean, s, numIdx, eps, cfg.mechFactory, nil)
 		if err != nil {
 			return nil, err
 		}
-		p.mean = t
-		p.tasks = append(p.tasks, t)
+		p.mean = &MeanTask{a}
+		p.tasks = append(p.tasks, p.mean)
 	}
-	if len(catIdx) > 0 {
-		t, err := newFreqTask(s, eps, cfg.oracleFactory)
+	if catIdx := s.CategoricalIdx(); len(catIdx) > 0 {
+		a, err := newSampled(TaskFreq, s, catIdx, eps, nil, cfg.oracleFactory)
 		if err != nil {
 			return nil, err
 		}
-		p.freq = t
-		p.tasks = append(p.tasks, t)
+		p.freq = &FreqTask{a}
+		p.tasks = append(p.tasks, p.freq)
 	}
 	if cfg.rangeCfg != nil {
 		rc := *cfg.rangeCfg
@@ -384,11 +389,15 @@ func New(s *schema.Schema, eps float64, opts ...Option) (*Pipeline, error) {
 		p.cum[i] /= total
 	}
 
-	joint, err := newJointTask(s, eps, cfg.mechFactory, cfg.oracleFactory)
+	all := make([]int, s.Dim())
+	for i := range all {
+		all[i] = i
+	}
+	joint, err := newSampled(TaskJoint, s, all, eps, cfg.mechFactory, cfg.oracleFactory)
 	if err != nil {
 		return nil, err
 	}
-	p.joint = joint
+	p.joint = &JointTask{joint}
 
 	p.attrMeta = make([]attrMeta, s.Dim())
 	for i, a := range s.Attrs {
@@ -607,15 +616,16 @@ func (p *Pipeline) checkReport(b *ReportBatch, i int) error {
 		if r := b.round[i]; r < 0 || int(r) >= g.rounds {
 			return fmt.Errorf("pipeline: gradient round %d outside [0,%d)", r, g.rounds)
 		}
-		if n == 0 || n > g.dim {
-			return fmt.Errorf("pipeline: gradient report with %d entries for dimension %d", n, g.dim)
+		dim := g.Dim()
+		if n == 0 || n > dim {
+			return fmt.Errorf("pipeline: gradient report with %d entries for dimension %d", n, dim)
 		}
 		for e := lo; e < hi; e++ {
 			switch a, v := b.entAttr[e], b.entNum[e]; {
 			case core.EntryKind(b.entKind[e]) != core.EntryNumeric:
 				return fmt.Errorf("pipeline: gradient report with non-numeric entry")
-			case a < 0 || a >= g.dim:
-				return fmt.Errorf("pipeline: gradient coordinate %d outside [0,%d)", a, g.dim)
+			case a < 0 || a >= dim:
+				return fmt.Errorf("pipeline: gradient coordinate %d outside [0,%d)", a, dim)
 			case math.IsNaN(v) || math.IsInf(v, 0):
 				return fmt.Errorf("pipeline: non-finite gradient coordinate value")
 			}

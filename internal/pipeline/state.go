@@ -79,7 +79,7 @@ func (p *Pipeline) newAggState() *AggState {
 	if p.freq != nil {
 		st.FreqCounts = make([][]float64, d)
 		st.FreqN = make([]int64, d)
-		for _, j := range p.freq.catIdx {
+		for _, j := range p.freq.attrs {
 			st.FreqCounts[j] = make([]float64, p.sch.Attrs[j].Cardinality)
 		}
 	}
@@ -502,11 +502,11 @@ func (p *Pipeline) Fingerprint() uint64 {
 		fmt.Fprintf(h, "|attr=%s,%d,%d", a.Name, a.Kind, a.Cardinality)
 	}
 	if p.mean != nil {
-		fmt.Fprintf(h, "|mean=%s,k=%d", p.mean.inner.Name(), p.mean.k)
+		fmt.Fprintf(h, "|mean=%s,k=%d", p.mean.Mechanism().Name(), p.mean.K())
 	}
 	if p.freq != nil {
-		fmt.Fprintf(h, "|freq=k%d", p.freq.k)
-		for _, j := range p.freq.catIdx {
+		fmt.Fprintf(h, "|freq=k%d", p.freq.K())
+		for _, j := range p.freq.attrs {
 			o := p.freq.oracles[j]
 			pp, q := o.SupportProbs()
 			fmt.Fprintf(h, ",%s/%x/%x", o.Name(), math.Float64bits(pp), math.Float64bits(q))

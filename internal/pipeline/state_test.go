@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -152,6 +153,26 @@ func TestStateSubAddRoundTrip(t *testing.T) {
 	}
 	if full.Total() != st2.Total() {
 		t.Fatalf("Sub(nil) total %d, want %d", full.Total(), st2.Total())
+	}
+}
+
+// TestStateAddIsAtomic: AggState.Add adds the range state first, so a
+// peer whose last hierarchy level has one bucket more than the receiver's
+// must be refused before anything, range counts included, is added.
+func TestStateAddIsAtomic(t *testing.T) {
+	src := statePipeline(t, 1)
+	ingestStateReports(t, 41, 500, src)
+	st := src.StateSnapshot()
+	bad := st.Clone()
+	last := &bad.Range.Levels[len(bad.Range.Levels)-1]
+	last.Counts = append(last.Counts, 1)
+
+	got := st.Clone()
+	if err := got.Add(bad); err == nil {
+		t.Fatal("Add accepted a range level of another domain")
+	}
+	if !reflect.DeepEqual(got, st) {
+		t.Fatal("a failed Add changed the receiver")
 	}
 }
 

@@ -26,124 +26,59 @@ type Task interface {
 	Randomize(t schema.Tuple, r *rng.Rand) (Report, error)
 }
 
-// MeanTask estimates numeric-attribute means with the paper's Algorithm 4
-// restricted to the numeric attributes: each routed user samples
-// k = max(1, min(dNum, floor(eps/2.5))) of the dNum numeric attributes,
-// perturbs each with the 1-D mechanism at budget eps/k, and scales by
-// dNum/k so the report is coordinate-wise unbiased over the task's users.
-type MeanTask struct {
-	numIdx []int
-	k      int
-	scale  float64
-	eps    float64
-	inner  mech.Mechanism
-}
-
-func newMeanTask(s *schema.Schema, eps float64, factory mech.Factory) (*MeanTask, error) {
-	numIdx := s.NumericIdx()
-	k := core.KFor(eps, len(numIdx))
-	inner, err := factory(eps / float64(k))
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: mean task mechanism: %w", err)
-	}
-	return &MeanTask{
-		numIdx: numIdx,
-		k:      k,
-		scale:  float64(len(numIdx)) / float64(k),
-		eps:    eps,
-		inner:  inner,
-	}, nil
-}
-
-// Kind returns TaskMean.
-func (t *MeanTask) Kind() TaskKind { return TaskMean }
-
-// Name returns "mean".
-func (t *MeanTask) Name() string { return "mean" }
-
-// K returns the number of numeric attributes each routed user reports.
-func (t *MeanTask) K() int { return t.k }
-
-// Epsilon returns the task's total budget (the pipeline budget).
-func (t *MeanTask) Epsilon() float64 { return t.eps }
-
-// Mechanism returns the 1-D mechanism running at eps/k.
-func (t *MeanTask) Mechanism() mech.Mechanism { return t.inner }
-
-// Randomize implements Task.
-func (t *MeanTask) Randomize(tp schema.Tuple, r *rng.Rand) (Report, error) {
-	entries := make([]core.Entry, 0, t.k)
-	for _, pos := range rng.SampleWithoutReplacement(r, len(t.numIdx), t.k) {
-		j := t.numIdx[pos]
-		entries = append(entries, core.Entry{
-			Attr:  j,
-			Kind:  core.EntryNumeric,
-			Value: t.scale * t.inner.Perturb(tp.Num[j], r),
-		})
-	}
-	return Report{Task: TaskMean, Entries: entries}, nil
-}
-
-// FreqTask estimates categorical-value frequencies: each routed user
-// samples k = max(1, min(dCat, floor(eps/2.5))) of the dCat categorical
-// attributes (the paper's Eq. 12 budget rule) and perturbs each with the
-// frequency oracle at budget eps/k. The aggregator debiases per attribute
-// over the users that actually reported it.
-type FreqTask struct {
-	catIdx  []int
-	k       int
-	eps     float64
-	oracles []freq.Oracle // indexed by schema attribute; nil for numeric
+// sampled is the paper's Algorithm 4 over one attribute set of the schema:
+// the mean task's numeric attributes, the freq task's categorical ones, or
+// the joint task's whole schema. Its core.Sampler draws k of the set's
+// attributes and perturbs each sampled numeric value at eps/k scaled by
+// the set's size over k; each sampled categorical value goes through the
+// attribute's frequency oracle at eps/k.
+type sampled struct {
+	sch     *schema.Schema
+	attrs   []int // schema attribute at each position of the set
+	smp     *core.Sampler
+	oracles []freq.Oracle // indexed by schema attribute; nil without categorical attributes
 	bits    bool          // whether the oracle responses carry bitsets
 }
 
-func newFreqTask(s *schema.Schema, eps float64, factory freq.Factory) (*FreqTask, error) {
-	catIdx := s.CategoricalIdx()
-	k := core.KFor(eps, len(catIdx))
-	budget := eps / float64(k)
-	oracles := make([]freq.Oracle, s.Dim())
-	for _, j := range catIdx {
-		o, err := factory(budget, s.Attrs[j].Cardinality)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: freq task oracle for attribute %q: %w", s.Attrs[j].Name, err)
+// newSampled builds the randomizer over attrs. mf may be nil when attrs
+// are all categorical, and of when they are all numeric.
+func newSampled(task TaskKind, s *schema.Schema, attrs []int, eps float64, mf mech.Factory, of freq.Factory) (sampled, error) {
+	smp, err := core.NewSampler(mf, eps, len(attrs), core.KFor(eps, len(attrs)))
+	if err != nil {
+		return sampled{}, fmt.Errorf("pipeline: %v task mechanism: %w", task, err)
+	}
+	t := sampled{sch: s, attrs: attrs, smp: smp}
+	for _, j := range attrs {
+		if s.Attrs[j].Kind != schema.Categorical {
+			continue
 		}
-		oracles[j] = o
+		o, err := of(smp.Budget(), s.Attrs[j].Cardinality)
+		if err != nil {
+			return sampled{}, fmt.Errorf("pipeline: %v task oracle for attribute %q: %w", task, s.Attrs[j].Name, err)
+		}
+		if t.oracles == nil {
+			t.oracles = make([]freq.Oracle, s.Dim())
+			t.bits = freq.UsesBitset(o)
+		}
+		t.oracles[j] = o
 	}
-	return &FreqTask{
-		catIdx:  catIdx,
-		k:       k,
-		eps:     eps,
-		oracles: oracles,
-		bits:    freq.UsesBitset(oracles[catIdx[0]]),
-	}, nil
+	return t, nil
 }
 
-// Kind returns TaskFreq.
-func (t *FreqTask) Kind() TaskKind { return TaskFreq }
-
-// Name returns "freq".
-func (t *FreqTask) Name() string { return "freq" }
-
-// K returns the number of categorical attributes each routed user reports.
-func (t *FreqTask) K() int { return t.k }
-
-// Epsilon returns the task's total budget (the pipeline budget).
-func (t *FreqTask) Epsilon() float64 { return t.eps }
-
-// Oracle returns the frequency oracle for schema attribute attr, or nil
-// if the attribute is numeric.
-func (t *FreqTask) Oracle(attr int) freq.Oracle {
-	if attr < 0 || attr >= len(t.oracles) {
-		return nil
-	}
-	return t.oracles[attr]
-}
-
-// Randomize implements Task.
-func (t *FreqTask) Randomize(tp schema.Tuple, r *rng.Rand) (Report, error) {
-	entries := make([]core.Entry, 0, t.k)
-	for _, pos := range rng.SampleWithoutReplacement(r, len(t.catIdx), t.k) {
-		j := t.catIdx[pos]
+// randomize samples and perturbs one tuple's entries: the sample is drawn
+// first, then the sampled attributes are perturbed in the order drawn.
+func (t *sampled) randomize(tp schema.Tuple, r *rng.Rand) []core.Entry {
+	entries := make([]core.Entry, 0, t.smp.K())
+	for _, pos := range t.smp.Sample(r) {
+		j := t.attrs[pos]
+		if t.sch.Attrs[j].Kind == schema.Numeric {
+			entries = append(entries, core.Entry{
+				Attr:  j,
+				Kind:  core.EntryNumeric,
+				Value: t.smp.Perturb(tp.Num[j], r),
+			})
+			continue
+		}
 		resp := t.oracles[j].Perturb(tp.Cat[j], r)
 		kind := core.EntryCategoricalBits
 		if resp.Bits == nil {
@@ -151,7 +86,67 @@ func (t *FreqTask) Randomize(tp schema.Tuple, r *rng.Rand) (Report, error) {
 		}
 		entries = append(entries, core.Entry{Attr: j, Kind: kind, Resp: resp})
 	}
-	return Report{Task: TaskFreq, Entries: entries}, nil
+	return entries
+}
+
+// K returns the number of attributes of the task's set each user reports.
+func (t *sampled) K() int { return t.smp.K() }
+
+// oracle returns the frequency oracle for schema attribute attr, or nil.
+func (t *sampled) oracle(attr int) freq.Oracle {
+	if attr < 0 || attr >= len(t.oracles) {
+		return nil
+	}
+	return t.oracles[attr]
+}
+
+// MeanTask estimates numeric-attribute means with the paper's Algorithm 4
+// restricted to the numeric attributes: each routed user samples
+// k = max(1, min(dNum, floor(eps/2.5))) of the dNum numeric attributes,
+// perturbs each with the 1-D mechanism at budget eps/k, and scales by
+// dNum/k so the report is coordinate-wise unbiased over the task's users.
+type MeanTask struct{ sampled }
+
+// Kind returns TaskMean.
+func (t *MeanTask) Kind() TaskKind { return TaskMean }
+
+// Name returns "mean".
+func (t *MeanTask) Name() string { return "mean" }
+
+// Epsilon returns the task's total budget (the pipeline budget).
+func (t *MeanTask) Epsilon() float64 { return t.smp.Epsilon() }
+
+// Mechanism returns the 1-D mechanism running at eps/k.
+func (t *MeanTask) Mechanism() mech.Mechanism { return t.smp.Inner() }
+
+// Randomize implements Task.
+func (t *MeanTask) Randomize(tp schema.Tuple, r *rng.Rand) (Report, error) {
+	return Report{Task: TaskMean, Entries: t.randomize(tp, r)}, nil
+}
+
+// FreqTask estimates categorical-value frequencies: each routed user
+// samples k = max(1, min(dCat, floor(eps/2.5))) of the dCat categorical
+// attributes (the paper's Eq. 12 budget rule) and perturbs each with the
+// frequency oracle at budget eps/k. The aggregator debiases per attribute
+// over the users that actually reported it.
+type FreqTask struct{ sampled }
+
+// Kind returns TaskFreq.
+func (t *FreqTask) Kind() TaskKind { return TaskFreq }
+
+// Name returns "freq".
+func (t *FreqTask) Name() string { return "freq" }
+
+// Epsilon returns the task's total budget (the pipeline budget).
+func (t *FreqTask) Epsilon() float64 { return t.smp.Epsilon() }
+
+// Oracle returns the frequency oracle for schema attribute attr, or nil
+// if the attribute is numeric.
+func (t *FreqTask) Oracle(attr int) freq.Oracle { return t.oracle(attr) }
+
+// Randomize implements Task.
+func (t *FreqTask) Randomize(tp schema.Tuple, r *rng.Rand) (Report, error) {
+	return Report{Task: TaskFreq, Entries: t.randomize(tp, r)}, nil
 }
 
 // JointTask is the paper's Algorithm 4 over the whole schema (Section
@@ -163,37 +158,7 @@ func (t *FreqTask) Randomize(tp schema.Tuple, r *rng.Rand) (Report, error) {
 // numeric and categorical entries together under TaskJoint and fold into
 // the same aggregate as every other task. It is never routed: callers
 // randomize through Pipeline.JointTask.
-type JointTask struct {
-	sch     *schema.Schema
-	k       int
-	scale   float64
-	inner   mech.Mechanism
-	oracles []freq.Oracle // indexed by schema attribute; nil without categorical attributes
-	bits    bool          // whether the oracle responses carry bitsets
-}
-
-func newJointTask(s *schema.Schema, eps float64, mf mech.Factory, of freq.Factory) (*JointTask, error) {
-	d := s.Dim()
-	k := core.KFor(eps, d)
-	budget := eps / float64(k)
-	inner, err := mf(budget)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: joint task mechanism: %w", err)
-	}
-	t := &JointTask{sch: s, k: k, scale: float64(d) / float64(k), inner: inner}
-	if catIdx := s.CategoricalIdx(); len(catIdx) > 0 {
-		t.oracles = make([]freq.Oracle, d)
-		for _, j := range catIdx {
-			o, err := of(budget, s.Attrs[j].Cardinality)
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: joint task oracle for attribute %q: %w", s.Attrs[j].Name, err)
-			}
-			t.oracles[j] = o
-		}
-		t.bits = freq.UsesBitset(t.oracles[catIdx[0]])
-	}
-	return t, nil
-}
+type JointTask struct{ sampled }
 
 // Kind returns TaskJoint.
 func (t *JointTask) Kind() TaskKind { return TaskJoint }
@@ -201,17 +166,9 @@ func (t *JointTask) Kind() TaskKind { return TaskJoint }
 // Name returns "joint".
 func (t *JointTask) Name() string { return "joint" }
 
-// K returns the number of attributes each user reports.
-func (t *JointTask) K() int { return t.k }
-
 // Oracle returns the frequency oracle for schema attribute attr, or nil
 // if the attribute is numeric.
-func (t *JointTask) Oracle(attr int) freq.Oracle {
-	if attr < 0 || attr >= len(t.oracles) {
-		return nil
-	}
-	return t.oracles[attr]
-}
+func (t *JointTask) Oracle(attr int) freq.Oracle { return t.oracle(attr) }
 
 // Randomize implements Task. It checks the tuple against the schema
 // itself, since no routing step has checked it first.
@@ -219,24 +176,7 @@ func (t *JointTask) Randomize(tp schema.Tuple, r *rng.Rand) (Report, error) {
 	if err := tp.Check(t.sch); err != nil {
 		return Report{}, err
 	}
-	entries := make([]core.Entry, 0, t.k)
-	for _, j := range rng.SampleWithoutReplacement(r, t.sch.Dim(), t.k) {
-		if t.sch.Attrs[j].Kind == schema.Numeric {
-			entries = append(entries, core.Entry{
-				Attr:  j,
-				Kind:  core.EntryNumeric,
-				Value: t.scale * t.inner.Perturb(tp.Num[j], r),
-			})
-			continue
-		}
-		resp := t.oracles[j].Perturb(tp.Cat[j], r)
-		kind := core.EntryCategoricalBits
-		if resp.Bits == nil {
-			kind = core.EntryCategoricalValue
-		}
-		entries = append(entries, core.Entry{Attr: j, Kind: kind, Resp: resp})
-	}
-	return Report{Task: TaskJoint, Entries: entries}, nil
+	return Report{Task: TaskJoint, Entries: t.randomize(tp, r)}, nil
 }
 
 // RangeTask answers 1-D and 2-D range queries through the rangequery

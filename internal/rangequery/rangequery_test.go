@@ -2,6 +2,7 @@ package rangequery
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"ldp/internal/freq"
@@ -282,5 +283,32 @@ func TestAggregatorMerge(t *testing.T) {
 	}
 	if math.Abs(got-1) > 0.25 {
 		t.Errorf("merged full-domain mass %.4f, want ~1", got)
+	}
+}
+
+// TestAccStateAddIsAtomic: a state whose last level has one bucket more
+// than the receiver's is refused before any level is added.
+func TestAccStateAddIsAtomic(t *testing.T) {
+	st := &AccState{
+		N: 9,
+		Levels: []CountState{
+			{Counts: []float64{7, 2}, N: 9},
+			{Counts: []float64{3, 4, 1, 1}, N: 9},
+		},
+		Grids: []CountState{{Counts: []float64{5, 4}, N: 9}},
+	}
+	bad := st.Clone()
+	last := &bad.Levels[len(bad.Levels)-1]
+	last.Counts = append(last.Counts, 1)
+
+	got := st.Clone()
+	if err := got.Add(bad); err == nil {
+		t.Fatal("Add accepted a level of another domain")
+	}
+	if !reflect.DeepEqual(got, st) {
+		t.Fatalf("a failed Add changed the receiver: %+v", got)
+	}
+	if err := got.Add(st); err != nil || got.Levels[0].Counts[0] != 14 || got.N != 18 {
+		t.Fatalf("Add of a matching state: err %v, level 0 count %v, N %d", err, got.Levels[0].Counts[0], got.N)
 	}
 }

@@ -186,7 +186,8 @@ func subCountState(cur, prev *CountState) (CountState, error) {
 	return out, nil
 }
 
-// Add folds o into the state elementwise; shapes must match.
+// Add folds o into the state elementwise. Shapes and domains must match;
+// on a mismatch Add returns an error and leaves the state unchanged.
 func (st *AccState) Add(o *AccState) error {
 	if o == nil {
 		return nil
@@ -194,20 +195,28 @@ func (st *AccState) Add(o *AccState) error {
 	if len(st.Levels) != len(o.Levels) || len(st.Grids) != len(o.Grids) {
 		return fmt.Errorf("rangequery: adding states of different shapes")
 	}
+	if !sameDomains(st.Levels, o.Levels) || !sameDomains(st.Grids, o.Grids) {
+		return fmt.Errorf("rangequery: adding counts of different domains")
+	}
 	for i := range o.Levels {
-		if len(st.Levels[i].Counts) != len(o.Levels[i].Counts) {
-			return fmt.Errorf("rangequery: adding counts of different domains")
-		}
 		o.Levels[i].addInto(&st.Levels[i])
 	}
 	for i := range o.Grids {
-		if len(st.Grids[i].Counts) != len(o.Grids[i].Counts) {
-			return fmt.Errorf("rangequery: adding counts of different domains")
-		}
 		o.Grids[i].addInto(&st.Grids[i])
 	}
 	st.N += o.N
 	return nil
+}
+
+// sameDomains reports whether two equally long count lists have the same
+// domain slot by slot, so Add can check everything before it adds anything.
+func sameDomains(a, b []CountState) bool {
+	for i := range a {
+		if len(a[i].Counts) != len(b[i].Counts) {
+			return false
+		}
+	}
+	return true
 }
 
 // Clone deep-copies the state.

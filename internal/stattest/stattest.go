@@ -180,3 +180,32 @@ func CheckVectorPerturber(tb testing.TB, p mech.VectorPerturber, input []float64
 	s.CheckUnbiased(tb, name, input[coord])
 	s.CheckVariance(tb, name, coordVar, rtol)
 }
+
+// Running accumulates the mean and population variance of a stream of
+// observations in one pass with Welford's algorithm, which stays accurate
+// when the values share a large offset. The zero value is ready to use.
+type Running struct {
+	n    int64
+	mean float64
+	m2   float64
+}
+
+// Add folds one observation into the accumulator.
+func (r *Running) Add(x float64) {
+	r.n++
+	delta := x - r.mean
+	r.mean += delta / float64(r.n)
+	r.m2 += delta * (x - r.mean)
+}
+
+// Mean returns the sample mean, or 0 before any observation.
+func (r *Running) Mean() float64 { return r.mean }
+
+// Variance returns the population variance (dividing by n), or 0 when fewer
+// than two observations have been seen.
+func (r *Running) Variance() float64 {
+	if r.n < 2 {
+		return 0
+	}
+	return r.m2 / float64(r.n)
+}

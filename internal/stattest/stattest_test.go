@@ -95,3 +95,40 @@ func TestVarNonNegative(t *testing.T) {
 		t.Errorf("constant sampler mean = %v", s.Mean)
 	}
 }
+
+func TestRunningBasic(t *testing.T) {
+	var r Running
+	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+		r.Add(x)
+	}
+	if math.Abs(r.Mean()-5) > 1e-12 {
+		t.Errorf("Mean = %v, want 5", r.Mean())
+	}
+	if math.Abs(r.Variance()-4) > 1e-12 {
+		t.Errorf("Variance = %v, want 4", r.Variance())
+	}
+}
+
+func TestRunningEmptyAndSingle(t *testing.T) {
+	var r Running
+	if r.Mean() != 0 || r.Variance() != 0 {
+		t.Error("zero-value accumulator should report zeros")
+	}
+	r.Add(3)
+	if r.Mean() != 3 || r.Variance() != 0 {
+		t.Error("single observation: mean 3, variance 0")
+	}
+}
+
+func TestRunningLargeShiftStability(t *testing.T) {
+	// Welford must stay accurate with a large offset where naive sum of
+	// squares loses precision.
+	var r Running
+	const offset = 1e9
+	for _, x := range []float64{offset + 1, offset + 2, offset + 3} {
+		r.Add(x)
+	}
+	if math.Abs(r.Variance()-2.0/3) > 1e-6 {
+		t.Errorf("Variance = %v, want %v", r.Variance(), 2.0/3)
+	}
+}

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"ldp/internal/cluster"
+	"ldp/internal/erm"
+	"ldp/internal/pipeline"
 	"ldp/internal/rng"
 	"ldp/internal/telemetry"
 )
@@ -187,6 +189,57 @@ func TestClientRetriesThroughShedding(t *testing.T) {
 	}
 	if got := p.Watermark(); got != 1 {
 		t.Fatalf("reports folded = %d, want 1", got)
+	}
+}
+
+func TestSGDClientRetriesThroughShedding(t *testing.T) {
+	// The first gradient upload meets a 503, the second a 429 with
+	// Retry-After; the third lands. The trainer must accept each gradient
+	// exactly once: neither refused attempt folded anything.
+	cfg := pipeline.GradientConfig{Dim: 3, Rounds: 2, GroupSize: 8, Eta: 1}
+	p, err := pipeline.New(gradSchema(t), 1, pipeline.WithGradient(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := NewPipelineServer(p, nil)
+	var posts int
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts++
+			switch posts {
+			case 1:
+				http.Error(w, "unavailable", http.StatusServiceUnavailable)
+				return
+			case 2:
+				w.Header().Set("Retry-After", "0")
+				http.Error(w, "overloaded", http.StatusTooManyRequests)
+				return
+			}
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	sgd, err := NewSGDClient(srv.URL, p, erm.LogisticRegression, 0, WithRetry(cluster.RetryPolicy{
+		MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	state, err := sgd.FetchModel(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grads := [][]float64{{0.5, -0.5, 1}, {-1, 0, 0.25}, {2, -2, 0}}
+	if err := sgd.SubmitGradients(ctx, state.Round, grads, rng.NewStream(99, 1)); err != nil {
+		t.Fatalf("submit through shedding: %v", err)
+	}
+	if posts != 3 {
+		t.Fatalf("posts = %d, want 3", posts)
+	}
+	if got := p.Trainer().Accepted(); got != int64(len(grads)) {
+		t.Fatalf("trainer accepted %d gradients, want %d", got, len(grads))
 	}
 }
 

@@ -169,18 +169,17 @@ func (c *PipelineClient) post(ctx context.Context, body []byte) (retryable bool,
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNoContent {
-		return respFailure(resp, "aggregator rejected batch")
+		return respFailure(resp)
 	}
 	return false, nil
 }
 
 // respFailure classifies a non-success report-upload response into
 // (retryable, error), folding a 429's Retry-After hint into the error so
-// the retry policy can honor it. Shared by PipelineClient and SGDClient
-// so the two cannot drift.
-func respFailure(resp *http.Response, what string) (retryable bool, err error) {
+// the retry policy can honor it.
+func respFailure(resp *http.Response) (retryable bool, err error) {
 	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-	err = fmt.Errorf("transport: %s: %s: %s", what, resp.Status, bytes.TrimSpace(msg))
+	err = fmt.Errorf("transport: aggregator rejected batch: %s: %s", resp.Status, bytes.TrimSpace(msg))
 	switch {
 	case resp.StatusCode == http.StatusTooManyRequests:
 		return true, &cluster.RetryAfterError{

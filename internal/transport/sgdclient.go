@@ -1,14 +1,12 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 
-	"ldp/internal/cluster"
 	"ldp/internal/dataset"
 	"ldp/internal/erm"
 	"ldp/internal/pipeline"
@@ -19,16 +17,15 @@ import (
 // it polls the aggregator's published model, computes the local loss
 // gradient on the user's own example, and submits only the clipped,
 // randomized gradient through the gradient task. Raw features, labels,
-// and exact gradients never leave the process. It is safe for concurrent
-// use with per-goroutine PRNGs.
+// and exact gradients never leave the process. Uploads go through a
+// PipelineClient built from the same options, so gradient reports share
+// its route, size cap and retry policy. It is safe for concurrent use
+// with per-goroutine PRNGs.
 type SGDClient struct {
-	baseURL string
-	grad    *pipeline.GradientTask
-	task    erm.Task
-	lambda  float64
-	http    *http.Client
-	retry   cluster.RetryPolicy
-	retryOn bool
+	pc     *PipelineClient
+	grad   *pipeline.GradientTask
+	task   erm.Task
+	lambda float64
 }
 
 // NewSGDClient builds a client for the aggregator at baseURL. The
@@ -42,32 +39,22 @@ func NewSGDClient(baseURL string, p *pipeline.Pipeline, task erm.Task, lambda fl
 	if lambda < 0 {
 		return nil, fmt.Errorf("transport: negative lambda %v", lambda)
 	}
-	for len(baseURL) > 0 && baseURL[len(baseURL)-1] == '/' {
-		baseURL = baseURL[:len(baseURL)-1]
-	}
-	var cfg clientConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
 	return &SGDClient{
-		baseURL: baseURL,
-		grad:    p.GradientTask(),
-		task:    task,
-		lambda:  lambda,
-		http:    resolveHTTP(cfg),
-		retry:   cfg.retry,
-		retryOn: cfg.retryOn,
+		pc:     NewPipelineClient(baseURL, p, opts...),
+		grad:   p.GradientTask(),
+		task:   task,
+		lambda: lambda,
 	}, nil
 }
 
 // FetchModel retrieves the current model state from GET /v1/model.
 func (c *SGDClient) FetchModel(ctx context.Context) (ModelState, error) {
 	var state ModelState
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/v1/model", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.pc.baseURL+"/v1/model", nil)
 	if err != nil {
 		return state, fmt.Errorf("transport: build request: %w", err)
 	}
-	resp, err := c.http.Do(req)
+	resp, err := c.pc.http.Do(req)
 	if err != nil {
 		return state, fmt.Errorf("transport: fetch model: %w", err)
 	}
@@ -93,23 +80,20 @@ func (c *SGDClient) SubmitGradient(ctx context.Context, round int, grad []float6
 
 // SubmitGradients randomizes a group of raw local gradients for the same
 // round and posts all frames in one request — the batch path a
-// coordinator simulating many users should prefer.
+// coordinator simulating many users should prefer. Clients built
+// WithRetry redeliver on connection errors, 5xx and 429 load shedding:
+// the server folds nothing on those responses, so redelivery cannot
+// double-count a gradient.
 func (c *SGDClient) SubmitGradients(ctx context.Context, round int, grads [][]float64, r *rng.Rand) error {
-	if len(grads) == 0 {
-		return nil
-	}
-	var body []byte
+	reps := make([]pipeline.Report, len(grads))
 	for i, g := range grads {
 		rep, err := c.grad.RandomizeGradient(round, g, r)
 		if err != nil {
 			return fmt.Errorf("transport: randomize gradient %d: %w", i, err)
 		}
-		body, err = AppendEnvelope(body, rep)
-		if err != nil {
-			return fmt.Errorf("transport: encode gradient %d: %w", i, err)
-		}
+		reps[i] = rep
 	}
-	return c.postFrames(ctx, body)
+	return c.pc.SendReports(ctx, reps)
 }
 
 // SubmitExamples computes each example's loss gradient at the given
@@ -156,36 +140,4 @@ func (c *SGDClient) Contribute(ctx context.Context, x []float64, y float64, r *r
 		return 0, false, err
 	}
 	return state.Round, true, nil
-}
-
-// postFrames posts concatenated envelope frames to /v1/report. Clients
-// built WithRetry redeliver on connection errors, 5xx, and 429 load
-// shedding (honoring the Retry-After hint) — the server folds nothing on
-// those responses, so redelivery cannot double-count a gradient.
-func (c *SGDClient) postFrames(ctx context.Context, body []byte) error {
-	if len(body) > MaxBatchSize {
-		return fmt.Errorf("transport: batch of %d bytes exceeds limit %d", len(body), MaxBatchSize)
-	}
-	if !c.retryOn {
-		_, err := c.postOnce(ctx, body)
-		return err
-	}
-	return c.retry.Do(ctx, func(ctx context.Context) (bool, error) { return c.postOnce(ctx, body) })
-}
-
-func (c *SGDClient) postOnce(ctx context.Context, body []byte) (retryable bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+"/v1/report", bytes.NewReader(body))
-	if err != nil {
-		return false, fmt.Errorf("transport: build request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return true, fmt.Errorf("transport: post gradients: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return respFailure(resp, "aggregator rejected gradients")
-	}
-	return false, nil
 }

@@ -59,19 +59,21 @@
 // incremental by default: every fold marks the components it touched
 // dirty under its shard lock (per-attribute count columns, hierarchy
 // levels, grids), and the builder folds only the dirty shards' count
-// deltas into the previous view's immutable state, re-debiasing only
-// changed attributes and re-running Norm-Sub only on changed grids and
-// levels, skipping clean shards without taking their locks. When the
-// delta since the previous view exceeds a crossover fraction of the
-// watermark (WithIncrementalView, default 0.25) the rebuild falls back
+// deltas into the previous view's immutable state, copying only the
+// changed count columns, hierarchy levels and grids and skipping clean
+// shards without taking their locks. When the delta since the previous
+// view exceeds a crossover fraction of the watermark
+// (WithIncrementalView, default 0.25) the rebuild falls back
 // to a full sync that visits every shard in order. Either way the result
 // is bit-identical to Snapshot at the same watermark — incremental
 // maintenance changes the cost of a rebuild (delta-proportional instead
 // of domain-proportional), never its answers. Inside a Result, frequency
 // estimates debias lazily per queried attribute from raw pooled support
-// counts and the range state is precomputed once (interval-tree estimates
-// plus Norm-Sub-consistent grids), so Mean/FreqView/Range are pure
-// lookups. The HTTP layer keys pre-encoded JSON bodies and ETags on
+// counts, and each hierarchy level and 2-D grid is derived (debiased
+// interval estimates, a Norm-Sub-consistent grid) on its first read in
+// the view and shared after, so the first Range read of a changed slot
+// allocates and every later Mean/FreqView/Range read is a pure lookup.
+// The HTTP layer keys pre-encoded JSON bodies and ETags on
 // Result.Epoch: dashboards polling /v1/query (and SGD participants
 // polling /v1/model) with If-None-Match get 304 Not Modified until the
 // state actually changes.

@@ -4,7 +4,9 @@
 // cross-check each other in tests.
 //
 // All functions take the privacy budget eps (> 0); the *Multi variants also
-// take the dimensionality d and internally apply the paper's sampling rule
+// take the dimensionality d, which they assume is at least 1 (every
+// collector rejects d < 1, and the formulas give meaningless values
+// there), and internally apply the paper's sampling rule
 // k = max(1, min(d, floor(eps/2.5))) (Eq. 12).
 package analysis
 
@@ -83,14 +85,14 @@ func MaxVarHM(eps float64) float64 {
 
 // MaxVarDuchiMulti returns the worst-case per-coordinate variance of
 // Duchi et al.'s Algorithm 3: C_d^2 ((e^eps+1)/(e^eps-1))^2, at t = 0
-// (Eq. 13).
+// (Eq. 13). It assumes d >= 1.
 func MaxVarDuchiMulti(eps float64, d int) float64 {
 	b := duchi.B(eps, d)
 	return b * b
 }
 
 // VarPMMulti returns the per-coordinate variance of Algorithm 4 with a PM
-// inner mechanism for coordinate value t (Eq. 14).
+// inner mechanism for coordinate value t (Eq. 14). It assumes d >= 1.
 func VarPMMulti(eps float64, d int, t float64) float64 {
 	k := float64(core.KFor(eps, d))
 	e := math.Exp(eps / (2 * k))
@@ -99,14 +101,14 @@ func VarPMMulti(eps float64, d int, t float64) float64 {
 }
 
 // MaxVarPMMulti returns the worst case of Eq. 14, at |t| = 1 (the t^2
-// coefficient is positive for every d >= 1).
+// coefficient is positive for every d >= 1). It assumes d >= 1.
 func MaxVarPMMulti(eps float64, d int) float64 { return VarPMMulti(eps, d, 1) }
 
 // VarHMMulti returns the per-coordinate variance of Algorithm 4 with an HM
 // inner mechanism for coordinate value t. It follows the derivation
 // Var = (d/k) E[x^2] - t^2 (the paper's Eq. 15 lower branch prints
 // "+ (d/k-1)t^2" where the derivation gives "- t^2"; see
-// core.Sampler.CoordinateVariance).
+// core.Sampler.CoordinateVariance). It assumes d >= 1.
 func VarHMMulti(eps float64, d int, t float64) float64 {
 	k := float64(core.KFor(eps, d))
 	budget := eps / k
@@ -118,7 +120,7 @@ func VarHMMulti(eps float64, d int, t float64) float64 {
 
 // MaxVarHMMulti returns the worst case of VarHMMulti over t in [-1, 1]:
 // at |t| = 1 when the split budget exceeds eps* (constant-variance regime)
-// and at t = 0 otherwise.
+// and at t = 0 otherwise. It assumes d >= 1.
 func MaxVarHMMulti(eps float64, d int) float64 {
 	return math.Max(VarHMMulti(eps, d, 0), VarHMMulti(eps, d, 1))
 }

@@ -13,14 +13,15 @@ import (
 // 4: k = max(1, min(d, floor(eps/2.5))) (Eq. 12). Reporting k attributes at
 // budget eps/k each trades sampling error against per-attribute noise; the
 // 2.5 constant minimizes the worst-case variance of the PM/HM-based
-// collector.
+// collector. The clamps apply in the formula's order, so k is at least 1
+// even for d < 1, a dimensionality every collector rejects.
 func KFor(eps float64, d int) int {
 	k := int(math.Floor(eps / 2.5))
-	if k < 1 {
-		k = 1
-	}
 	if k > d {
 		k = d
+	}
+	if k < 1 {
+		k = 1
 	}
 	return k
 }

@@ -30,6 +30,7 @@ func TestKForRule(t *testing.T) {
 		{100, 10, 10}, // capped at d
 		{100, 3, 3},
 		{0.1, 1, 1},
+		{1, 0, 1}, // max(1, ...) applies last
 	}
 	for _, c := range cases {
 		if got := KFor(c.eps, c.d); got != c.want {

@@ -234,6 +234,11 @@ func TestDefaultGroupSize(t *testing.T) {
 	if g := DefaultGroupSize(100000, 4, 8); g != 64 {
 		t.Errorf("floor group size = %d, want 64", g)
 	}
+	// d = 0 has k = 1 and no variance, so the size is the floor, not the
+	// platform's conversion of a NaN.
+	if g := DefaultGroupSize(1000, 0, 1); g != 64 {
+		t.Errorf("d=0 group size = %d, want 64", g)
+	}
 }
 
 func TestEvaluateSplits(t *testing.T) {

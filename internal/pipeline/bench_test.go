@@ -195,8 +195,9 @@ func BenchmarkQuerySnapshot(b *testing.B) {
 // exactly one report. This is the cold-query cliff the delta-proportional
 // builder removes — the per-refresh cost must track the delta, not the
 // domain, and the CI allocation guard bounds it to a small constant
-// number of allocations (the fresh Result shell plus the handful of
-// re-derived slices), independent of domain size.
+// number of allocations (the fresh Result shell, the copied counts of
+// the dirty slot, and the estimates the reads derive), independent of
+// domain size.
 func BenchmarkViewRefreshIncremental(b *testing.B) {
 	p := benchQueryPipeline(b)
 	reps := benchReports(b, p, 256)
@@ -210,6 +211,58 @@ func BenchmarkViewRefreshIncremental(b *testing.B) {
 		sink += queryOnce(b, p.View())
 	}
 	_ = sink
+}
+
+// BenchmarkDashboardRefresh replays perfbench's dashboard op in process,
+// without HTTP: BR at eps 1 with a 4096-bucket range domain, 32x32 grids
+// and 2 shards. Each op folds a pre-randomized 16-report batch, calls
+// View (an incremental rebuild, the preload being past the crossover) and
+// makes the refresh's four reads: every mean, the region histogram, the
+// age 1-D range and the age x income 2-D range. It measures the view
+// rebuild and the derivations the reads trigger.
+func BenchmarkDashboardRefresh(b *testing.B) {
+	c := dataset.NewBR()
+	p, err := New(c.Schema(), 1, WithShards(2), WithRange(rangequery.Config{Buckets: 4096, GridCells: 32}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const perOp = 16
+	batches := make([]*ReportBatch, 256)
+	for i := range batches {
+		batches[i] = NewReportBatch()
+		for j := 0; j < perOp; j++ {
+			r := rng.NewStream(2, uint64(i*perOp+j))
+			rep, err := p.Randomize(c.Tuple(r), r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			batches[i].Append(rep)
+		}
+		if err := p.AddBatch(batches[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	p.View()
+	one := RangeQuery{Attr: "age", Lo: -0.5, Hi: 0.25}
+	two := RangeQuery{Attr: "age", Lo: -0.5, Hi: 0.5, Attr2: "income", Lo2: -1, Hi2: 0}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.AddBatch(batches[i%len(batches)]); err != nil {
+			b.Fatal(err)
+		}
+		res := p.View()
+		res.Means()
+		if _, err := res.FreqView("region"); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := res.Range(one); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := res.Range(two); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkAddBatchInstrumented is BenchmarkPipelineAddBatch/size1024

@@ -52,7 +52,6 @@ package pipeline
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -899,18 +898,17 @@ func (p *Pipeline) Watermark() int64 {
 // The result holds raw pooled support counts, not rebuilt estimators:
 // debiasing happens lazily per queried attribute (freq.DebiasView with
 // the schema's precomputed support probabilities), and the range state is
-// precomputed once into a rangequery.View so every Range call is a pure
-// lookup. Most callers should prefer View, which memoizes one Result
-// behind an atomic pointer and rebuilds only when the ingest watermark
-// moves past the configured staleness bound.
+// a rangequery.View whose hierarchy levels and grids each derive on their
+// first read, so the first Range call over a slot allocates and later
+// ones are lookups. Most callers should prefer View, which memoizes one
+// Result behind an atomic pointer and rebuilds only when the ingest
+// watermark moves past the configured staleness bound.
 func (p *Pipeline) Snapshot() *Result {
 	st, rangeAcc := p.sumShards()
 	res := &Result{st: *st}
 	p.fillResult(res, make([]atomic.Pointer[[]float64], p.sch.Dim()))
 	if rangeAcc != nil {
-		// Debias every depth and run Norm-Sub once, outside all locks:
-		// Range answers on the result are pure lookups.
-		res.rangeView = rangeAcc.ViewWith(derivWorkers())
+		res.rangeView = rangeAcc.View()
 	}
 	return res
 }
@@ -924,22 +922,6 @@ func (p *Pipeline) fillResult(res *Result, cache []atomic.Pointer[[]float64]) {
 	}
 	res.jointOracles = p.joint.oracles
 	res.freqCache = cache
-}
-
-// derivWorkers is the view-derivation fan-out (per-attribute debias and
-// per-grid Norm-Sub), bounded by the CPU count and a small cap (the work is
-// memory-bound; wider fan-out just shuffles cache lines); it is independent
-// of the shard count because derivation cost scales with the schema, not
-// the shards.
-func derivWorkers() int {
-	w := runtime.GOMAXPROCS(0)
-	if w > 4 {
-		w = 4
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Merge folds another pipeline's aggregate state into this one: it

@@ -29,9 +29,10 @@ type RangeQuery struct {
 // Internally a Result is the summed AggState plus precomputed constants,
 // not rebuilt estimators: numeric sums, pooled frequency-oracle support
 // counts debiased lazily per queried attribute (the combined estimate is
-// memoized, so repeated queries are lookups), and a rangequery.View whose
-// interval-tree estimates and Norm-Sub-consistent grids were computed
-// once at snapshot time.
+// memoized, so repeated queries are lookups), and a rangequery.View that
+// holds each hierarchy level's and grid's support counts and derives
+// that slot's interval estimates or Norm-Sub-consistent grid on its
+// first read, sharing them with every later read.
 type Result struct {
 	sch *schema.Schema
 
@@ -207,8 +208,10 @@ func (r *Result) FreqView(attr string) ([]float64, error) {
 }
 
 // Range answers a 1-D or 2-D range query (see RangeQuery) from the
-// snapshot's precomputed range view: a pure lookup with zero allocation.
-// It errors when the pipeline was built without WithRange.
+// snapshot's range view. The first read of a hierarchy level or grid in
+// this Result derives and allocates its estimate; once the slots a query
+// touches are derived, it is a pure lookup with zero allocation. It
+// errors when the pipeline was built without WithRange.
 func (r *Result) Range(q RangeQuery) (float64, error) {
 	if r.rangeView == nil {
 		return 0, fmt.Errorf("pipeline: range queries need a pipeline built with WithRange")
@@ -227,7 +230,7 @@ func (r *Result) Range(q RangeQuery) (float64, error) {
 	return r.rangeView.Range2D(i, j, q.Lo, q.Hi, q.Lo2, q.Hi2)
 }
 
-// RangeView exposes the snapshot's precomputed range-query view (nil when
-// the range task is absent), for callers that need the lower-level
-// estimator surface.
+// RangeView exposes the snapshot's range-query view (nil when the range
+// task is absent), for callers that need the lower-level estimator
+// surface. Its slots derive on first read, shared with Range.
 func (r *Result) RangeView() *rangequery.View { return r.rangeView }

@@ -40,9 +40,9 @@ type viewCache struct {
 	// Incremental-rebuild state, all touched only by the builder under mu.
 	// incFrac is the WithIncrementalView crossover (<= 0 disables); base
 	// holds one sync point per shard; aggRange carries the cross-shard
-	// range support counts every published view derives from. The bitsets
-	// are per-build scratch: the unions of the shards' dirty bits
-	// (uFreq/uJoint by attribute, uLevel/uGrid by slot) and the
+	// range support counts every published view copies its slots from.
+	// The bitsets are per-build scratch: the unions of the shards' dirty
+	// bits (uFreq/uJoint by attribute, uLevel/uGrid by slot) and the
 	// copy-on-write markers of the two count-column families.
 	incFrac  float64
 	slab     shellSlab
@@ -135,10 +135,13 @@ func WithQueryStaleness(reports int64, maxAge time.Duration) Option {
 // when a cached view exists and the ingest delta since it is at most
 // maxDeltaFrac of the total watermark, the rebuild folds only the dirty
 // shards' count deltas into the previous view's immutable state —
-// re-debiasing only the attributes and re-running Norm-Sub only on the
-// hierarchy levels and grids that actually changed — instead of
-// re-summing the whole domain. Estimates are unaffected: an incremental
-// view is bit-identical to the full snapshot at the same watermark.
+// copying only the count columns, hierarchy levels and grids that
+// actually changed, and carrying every other range slot over with any
+// estimate a read already derived — instead of re-summing the whole
+// domain. Every range slot is derived on its first read in a view, so
+// the rebuild itself derives nothing. Estimates are unaffected: an
+// incremental view is bit-identical to the full snapshot at the same
+// watermark.
 // maxDeltaFrac must be in [0, 1]; 0 disables incremental maintenance
 // entirely (every rebuild is a full snapshot). The default without this
 // option is 0.25.
@@ -335,8 +338,11 @@ func (p *Pipeline) newResultShellSlab() *Result {
 // the baselines stay current and incremental rebuilds re-arm after any
 // fallback. Support counts are integer-valued float64 sums of indicators,
 // so baseline-delta arithmetic is exact and an incremental view is
-// bit-identical to a full snapshot at the same watermark. The caller
-// holds view.mu.
+// bit-identical to a full snapshot at the same watermark. Counts sync
+// eagerly, but estimates do not: the range view copies the counts of the
+// dirty levels and grids (of every slot in full mode) and carries the
+// rest over from prev, and each slot derives its estimate on its first
+// read. The caller holds view.mu.
 func (p *Pipeline) buildSync(prev *Result, full bool) *Result {
 	vc := &p.view
 	res := p.newResultShellSlab()
@@ -425,7 +431,7 @@ func (p *Pipeline) buildSync(prev *Result, full bool) *Result {
 	if vc.aggRange != nil {
 		switch {
 		case full || prev.rangeView == nil:
-			res.rangeView = vc.aggRange.ViewWith(derivWorkers())
+			res.rangeView = vc.aggRange.View()
 		case !vc.uLevel.any() && !vc.uGrid.any() && vc.aggRange.N() == rangeNBefore:
 			// Not a single range report arrived since the previous view
 			// (every range fold bumps the reporter count), so the previous

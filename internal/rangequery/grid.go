@@ -115,20 +115,19 @@ func (e *GridEstimator) RectMass(xlo, xhi, ylo, yhi float64) float64 {
 	return rectMass(e.Joint(), e.col.cells, xlo, xhi, ylo, yhi)
 }
 
-// View snapshots the consistent joint histogram so that many rectangle
-// queries can be served without re-debiasing or re-running Norm-Sub: the
-// per-epoch precomputation a server answering heavy query traffic does
-// once per view.
+// View snapshots the support counts into an immutable grid view; the
+// consistent joint histogram is derived on the view's first read.
 func (e *GridEstimator) View() *GridView {
-	return &GridView{cells: e.col.cells, joint: e.Joint()}
+	return &GridView{cells: e.col.cells, s: newSlot(e.col.oracle, e.inner)}
 }
 
-// GridView is an immutable snapshot of a GridEstimator's Norm-Sub-
-// consistent joint cell histogram. It is safe for concurrent use; queries
-// allocate nothing.
+// GridView is an immutable snapshot of a GridEstimator's support counts.
+// Its Norm-Sub-consistent joint cell histogram is derived on the first
+// read and shared by every later one, which is then a lookup loop with no
+// allocation. It is safe for concurrent use.
 type GridView struct {
 	cells int
-	joint []float64
+	s     *slot
 }
 
 // Cells returns the per-axis resolution g.
@@ -136,16 +135,19 @@ func (v *GridView) Cells() int { return v.cells }
 
 // Joint returns a copy of the consistent joint cell histogram.
 func (v *GridView) Joint() []float64 {
-	out := make([]float64, len(v.joint))
-	copy(out, v.joint)
-	return out
+	return append([]float64(nil), v.s.derived(consistent)...)
 }
 
 // RectMass answers the rectangle [xlo, xhi] x [ylo, yhi] from the
-// precomputed consistent histogram: a pure lookup loop, zero allocation.
+// consistent histogram, deriving it if this is the view's first read.
 func (v *GridView) RectMass(xlo, xhi, ylo, yhi float64) float64 {
-	return rectMass(v.joint, v.cells, xlo, xhi, ylo, yhi)
+	return rectMass(v.s.derived(consistent), v.cells, xlo, xhi, ylo, yhi)
 }
+
+// consistent derives a grid's joint histogram: the debiased cell
+// estimates post-processed with Norm-Sub, the arithmetic of
+// GridEstimator.Joint.
+func consistent(c freq.DebiasView) []float64 { return hist.NormSub(debias(c)) }
 
 // rectMass integrates the joint histogram over a clamped query rectangle;
 // cells partially covered contribute proportionally to their overlap area.

@@ -257,49 +257,62 @@ func (e *HierEstimator) Histogram() []float64 {
 	return e.levels[len(e.levels)-1].Estimates()
 }
 
-// View snapshots the debiased estimates of every depth so that many
-// queries can be served without re-debiasing; this is what a server
-// answering heavy query traffic should hand out per aggregation epoch.
-func (e *HierEstimator) View() *HierView {
-	levels := make([][]float64, len(e.levels))
-	for i, l := range e.levels {
-		levels[i] = l.Estimates()
-	}
-	return &HierView{buckets: e.col.buckets, levels: levels}
-}
+// View snapshots every depth's support counts into an immutable view; no
+// depth is derived until a query reads it, and each depth then debiases
+// once for every later read.
+func (e *HierEstimator) View() *HierView { return e.rebuildView(nil, nil) }
 
-// viewPartial snapshots like View but re-debiases only the depths the
-// dirty predicate flags (0-based), aliasing the clean depths' estimate
-// slices from prev — safe because HierView levels are immutable once
-// built. prev must come from an estimator of the same collector.
-func (e *HierEstimator) viewPartial(prev *HierView, dirty func(d int) bool) *HierView {
-	levels := make([][]float64, len(e.levels))
-	for d, l := range e.levels {
-		if dirty(d) {
-			levels[d] = l.Estimates()
-		} else {
-			levels[d] = prev.levels[d]
+// rebuildView is View with prev's depths carried over wherever dirty
+// (0-based depth) reports no change, derived estimates included; with no
+// dirty depth it returns prev itself. A nil prev copies every depth. prev
+// must come from an estimator of the same collector.
+func (e *HierEstimator) rebuildView(prev *HierView, dirty func(d int) bool) *HierView {
+	if prev != nil {
+		d := 0
+		for d < len(e.levels) && !dirty(d) {
+			d++
+		}
+		if d == len(e.levels) {
+			return prev
 		}
 	}
-	return &HierView{buckets: e.col.buckets, levels: levels}
+	v := &HierView{buckets: e.col.buckets, levels: make([]*slot, len(e.levels))}
+	for d, l := range e.levels {
+		if prev != nil && !dirty(d) {
+			v.levels[d] = prev.levels[d]
+		} else {
+			v.levels[d] = newSlot(e.col.oracles[d], l)
+		}
+	}
+	return v
 }
 
-// HierView is an immutable snapshot of a HierEstimator's per-depth
-// estimates. It is safe for concurrent use.
+// HierView is an immutable snapshot of a HierEstimator's per-depth support
+// counts. Each depth debiases on the first read that touches one of its
+// nodes and is a lookup afterwards. It is safe for concurrent use.
 type HierView struct {
 	buckets int
-	levels  [][]float64
+	levels  []*slot
 }
+
+// depth returns the debiased node estimates of 1-based depth l, deriving
+// them on first read. The slice is shared and must not be modified.
+func (v *HierView) depth(l int) []float64 { return v.levels[l-1].derived(debias) }
+
+// debias derives one depth's estimates: every node's debiased frequency,
+// the arithmetic of freq.Estimator.Estimates.
+func debias(c freq.DebiasView) []float64 { return c.AppendEstimates(make([]float64, 0, c.Len())) }
 
 // NodeEstimate returns the snapshotted estimate of one dyadic node.
 func (v *HierView) NodeEstimate(n Node) float64 {
-	return v.levels[n.Depth-1][n.Index]
+	return v.depth(n.Depth)[n.Index]
 }
 
 // SpanMass answers the inclusive bucket range [lo, hi] from the snapshot
 // in O(log B) time, clamped into [0, 1]. It walks the canonical dyadic
 // cover in place (the same greedy decomposition as Decompose) without
-// materializing the node list, so a cached-view query allocates nothing.
+// materializing the node list, so once every depth it touches has been
+// derived a query allocates nothing.
 func (v *HierView) SpanMass(lo, hi int) (float64, error) {
 	if lo < 0 || hi >= v.buckets || lo > hi {
 		return 0, fmt.Errorf("rangequery: bucket range [%d,%d] outside domain [0,%d]", lo, hi, v.buckets-1)
@@ -315,7 +328,7 @@ func (v *HierView) SpanMass(lo, hi int) (float64, error) {
 			size >>= 1
 		}
 		depth := maxDepth - (bits.Len(uint(size)) - 1)
-		mass += v.levels[depth-1][lo/size]
+		mass += v.depth(depth)[lo/size]
 		lo += size
 	}
 	if mass < 0 {

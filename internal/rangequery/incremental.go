@@ -5,11 +5,10 @@ import "ldp/internal/freq"
 // Incremental view maintenance support. The sharded pipeline keeps, per
 // shard, dirty bits over a flat slot space of range-query components —
 // one slot per (numeric attribute, hierarchy depth) pair and one per 2-D
-// grid — so that a view rebuild can re-debias (and re-run Norm-Sub on)
-// only the components whose support counts actually changed since the
-// previous view. The slot layout is attribute-major and mirrors
-// AccState.Levels: slot numPos[attr]*Depths() + depth-1 for hierarchy
-// levels, and the pair index for grids.
+// grid — so that a view rebuild copies only the slots whose support counts
+// actually changed since the previous view. The slot layout is attribute-
+// major and mirrors AccState.Levels: slot numPos[attr]*Depths() + depth-1
+// for hierarchy levels, and the pair index for grids.
 
 // LevelSlots returns the size of the flat hierarchy-level slot space:
 // one slot per (numeric attribute, depth) pair.
@@ -64,86 +63,33 @@ func (a *Accumulator) SyncDeltaN(base, agg *Accumulator) {
 	}
 }
 
-// RebuildView builds a query view of the accumulator, reusing the previous
-// view's immutable per-depth estimate slices and per-grid consistent
-// histograms for every slot the dirty predicates report unchanged. Only
-// dirty levels are re-debiased and only dirty grids re-run Norm-Sub, so
-// the cost is proportional to the ingest delta's footprint rather than the
-// domain. A nil prev falls back to a full View. The caller must exclude
-// concurrent folds for the duration of the call and must pass predicates
-// consistent with the accumulator's actual changes since prev — a slot
-// reported clean is served from prev verbatim.
+// RebuildView builds a query view of the accumulator that copies the
+// counts of only the slots the dirty predicates flag and carries every
+// other slot over from prev as it stands, with its estimate if a read has
+// already derived it. A hierarchy with no dirty depth is carried whole.
+// The copy is proportional to the ingest delta's footprint, and no slot is
+// derived until a query reads it. A nil prev copies every slot (the
+// predicates are then ignored). The caller must exclude concurrent folds
+// for the duration of the call and must pass predicates consistent with
+// the accumulator's actual changes since prev — a slot reported clean is
+// served from prev verbatim.
 func (a *Accumulator) RebuildView(prev *View, dirtyLevel, dirtyGrid func(int) bool) *View {
-	if prev == nil {
-		return a.View()
-	}
 	depths := a.col.hier.depths
-	v := &View{col: a.col, n: a.n}
-	// A small delta usually leaves one whole family untouched (a report
-	// dirties either one level or one grid, never both), and prev's slices
-	// are immutable — so when every slot of a family is clean and present
-	// in prev, the family's slice is aliased wholesale instead of copied.
-	hierClean := true
+	v := &View{col: a.col, n: a.n, hier: make([]*HierView, a.col.disc.src.Dim())}
 	for pos, attr := range a.col.numeric {
-		if prev.hier[attr] == nil {
-			hierClean = false
-			break
+		var pv *HierView
+		if prev != nil {
+			pv = prev.hier[attr]
 		}
-		base := pos * depths
-		for d := 0; d < depths; d++ {
-			if dirtyLevel(base + d) {
-				hierClean = false
-				break
-			}
-		}
-		if !hierClean {
-			break
-		}
-	}
-	if hierClean {
-		v.hier = prev.hier
-	} else {
-		v.hier = make([]*HierView, a.col.disc.src.Dim())
-		for pos, attr := range a.col.numeric {
-			base := pos * depths
-			pv := prev.hier[attr]
-			anyDirty := false
-			for d := 0; d < depths; d++ {
-				if dirtyLevel(base + d) {
-					anyDirty = true
-					break
-				}
-			}
-			switch {
-			case pv == nil:
-				v.hier[attr] = a.hier[attr].View()
-			case !anyDirty:
-				v.hier[attr] = pv
-			default:
-				v.hier[attr] = a.hier[attr].viewPartial(pv, func(d int) bool { return dirtyLevel(base + d) })
-			}
-		}
+		v.hier[attr] = a.hier[attr].rebuildView(pv, func(d int) bool { return dirtyLevel(pos*depths + d) })
 	}
 	if a.grids != nil {
-		gridClean := len(prev.grids) == len(a.grids)
-		for p := range a.grids {
-			if !gridClean {
-				break
-			}
-			if prev.grids[p] == nil || dirtyGrid(p) {
-				gridClean = false
-			}
-		}
-		if gridClean {
-			v.grids = prev.grids
-		} else {
-			v.grids = make([]*GridView, len(a.grids))
-			for p, g := range a.grids {
-				if pg := prev.GridFor(p); pg != nil && !dirtyGrid(p) {
-					v.grids[p] = pg
-				} else {
-					v.grids[p] = g.View()
-				}
+		v.grids = make([]*GridView, len(a.grids))
+		for p, g := range a.grids {
+			if prev != nil && !dirtyGrid(p) {
+				v.grids[p] = prev.grids[p]
+			} else {
+				v.grids[p] = g.View()
 			}
 		}
 	}

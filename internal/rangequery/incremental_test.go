@@ -3,6 +3,7 @@ package rangequery
 import (
 	"testing"
 
+	"ldp/internal/freq"
 	"ldp/internal/rng"
 	"ldp/internal/schema"
 )
@@ -170,8 +171,9 @@ func TestSyncDeltaMatchesDirect(t *testing.T) {
 
 // TestRebuildViewMatchesView checks the delta-proportional view rebuild:
 // given an accurate dirty predicate, RebuildView must answer every query
-// bit-exactly like a full View, alias the previous view's slices for
-// every clean slot, and recompute only the dirty ones.
+// bit-exactly like a full View, copy the counts of exactly the dirty
+// slots into fresh underived slots, and carry every clean slot over from
+// the previous view — estimates a read already derived included.
 func TestRebuildViewMatchesView(t *testing.T) {
 	col := viewTestCollector(t)
 	acc := NewAccumulator(col)
@@ -179,9 +181,11 @@ func TestRebuildViewMatchesView(t *testing.T) {
 	dL, dG := map[int]bool{}, map[int]bool{}
 	foldTracked(t, acc, r, 3000, dL, dG)
 	prev := acc.View()
+	// Derive a few slots of prev, so carried slots bring estimates along.
+	readAll(t, prev)
 
-	// A fresh delta touching only attribute 0's hierarchy: perturb tuples
-	// routed explicitly through attr-0 levels by filtering on report kind.
+	// A fresh delta touching only depths 1 and 2 of attribute 0's
+	// hierarchy: perturb tuples and keep only the reports routed there.
 	dL, dG = map[int]bool{}, map[int]bool{}
 	tup := schema.NewTuple(col.Schema())
 	added := 0
@@ -192,7 +196,7 @@ func TestRebuildViewMatchesView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Kind != KindHier || rep.Attr != 0 {
+		if rep.Kind != KindHier || rep.Attr != 0 || rep.Depth > 2 {
 			continue
 		}
 		if err := acc.Add(rep); err != nil {
@@ -203,86 +207,92 @@ func TestRebuildViewMatchesView(t *testing.T) {
 	}
 
 	got := acc.RebuildView(prev, func(li int) bool { return dL[li] }, func(p int) bool { return dG[p] })
-	want := acc.View()
-	if got.N() != want.N() {
-		t.Fatalf("N: %d != %d", got.N(), want.N())
-	}
-	depths := col.Hierarchy().Depths()
-	for _, attr := range []int{0, 1} {
-		gh, wh := got.Hier(attr), want.Hier(attr)
-		for d := 0; d < depths; d++ {
-			for i := range wh.levels[d] {
-				if gh.levels[d][i] != wh.levels[d][i] {
-					t.Fatalf("attr %d depth %d[%d]: %v != %v", attr, d+1, i, gh.levels[d][i], wh.levels[d][i])
-				}
-			}
-		}
+	assertCarriedOrCopied(t, acc, prev, got, dL, dG)
+	if got.Hier(0) == prev.Hier(0) || got.Hier(0).levels[2] != prev.Hier(0).levels[2] {
+		t.Error("attribute 0 was not rebuilt around its clean depths")
 	}
 	// Attribute 1 saw no reports: its whole HierView is the previous one.
 	if got.Hier(1) != prev.Hier(1) {
-		t.Error("clean attribute's HierView was rebuilt, not aliased")
+		t.Error("clean attribute's HierView was rebuilt, not carried")
 	}
-	// Attribute 0 was rebuilt, but its clean depths alias prev's slices.
-	if got.Hier(0) == prev.Hier(0) {
-		t.Error("dirty attribute's HierView was aliased, not rebuilt")
-	}
-	for d := 0; d < depths; d++ {
-		aliased := &got.Hier(0).levels[d][0] == &prev.Hier(0).levels[d][0]
-		if dL[col.LevelIndex(0, d+1)] == aliased {
-			t.Errorf("attr 0 depth %d: aliased=%v, dirty=%v", d+1, aliased, !aliased)
-		}
-	}
-	// The grid saw no reports either: aliased, and still bit-exact.
-	if got.GridFor(0) != prev.GridFor(0) {
-		t.Error("clean grid was rebuilt, not aliased")
-	}
-	gg, wg := got.GridFor(0), want.GridFor(0)
-	for i := range wg.joint {
-		if gg.joint[i] != wg.joint[i] {
-			t.Fatalf("grid joint[%d]: %v != %v", i, gg.joint[i], wg.joint[i])
-		}
-	}
+	assertViewsIdentical(t, got, acc.View())
 
-	// Nil prev falls back to a full view.
-	full := acc.RebuildView(nil, func(int) bool { return false }, func(int) bool { return false })
-	if full.N() != want.N() {
-		t.Fatal("RebuildView(nil, ...) did not build a full view")
+	// A mixed delta dirties levels of both attributes and the grid.
+	prev = got
+	readAll(t, prev)
+	dL, dG = map[int]bool{}, map[int]bool{}
+	foldTracked(t, acc, r, 60, dL, dG)
+	if !dG[0] {
+		t.Fatal("mixed delta missed the grid; pick another seed")
+	}
+	got = acc.RebuildView(prev, func(li int) bool { return dL[li] }, func(p int) bool { return dG[p] })
+	assertCarriedOrCopied(t, acc, prev, got, dL, dG)
+	assertViewsIdentical(t, got, acc.View())
+
+	// A view holds copies: folding more reports moves none of its answers.
+	before := acc.View()
+	foldTracked(t, acc, r, 200, map[int]bool{}, map[int]bool{})
+	assertViewsIdentical(t, got, before)
+
+	// A nil prev copies every slot.
+	full := acc.RebuildView(nil, nil, nil)
+	if lv, gv := derivedSlots(full); len(lv)+len(gv) != 0 {
+		t.Fatalf("RebuildView(nil, ...) built derived slots: levels %v grids %v", lv, gv)
+	}
+	assertViewsIdentical(t, full, acc.View())
+}
+
+// assertCarriedOrCopied checks every slot of a rebuilt view against the
+// dirty sets: a dirty slot is a fresh, underived copy of the accumulator's
+// current counts; a clean slot is prev's slot itself, derived or not.
+func assertCarriedOrCopied(t *testing.T, acc *Accumulator, prev, got *View, dL, dG map[int]bool) {
+	t.Helper()
+	col := acc.Collector()
+	depths := col.Hierarchy().Depths()
+	for pos, attr := range col.numeric {
+		for d := 0; d < depths; d++ {
+			li := pos*depths + d
+			gs, ps := got.Hier(attr).levels[d], prev.Hier(attr).levels[d]
+			if !dL[li] {
+				if gs != ps {
+					t.Errorf("clean level slot %d was copied, not carried", li)
+				}
+				continue
+			}
+			if gs == ps {
+				t.Errorf("dirty level slot %d was carried, not copied", li)
+			}
+			if gs.est.Load() != nil {
+				t.Errorf("dirty level slot %d was derived at build", li)
+			}
+			assertSlotCounts(t, gs, acc.hier[attr].levels[d])
+		}
+	}
+	for p := range col.pairs {
+		gs, ps := got.GridFor(p), prev.GridFor(p)
+		if !dG[p] {
+			if gs != ps {
+				t.Errorf("clean grid %d was copied, not carried", p)
+			}
+			continue
+		}
+		if gs == ps || gs.s.est.Load() != nil {
+			t.Errorf("dirty grid %d: carried=%v derived=%v", p, gs == ps, gs.s.est.Load() != nil)
+		}
+		assertSlotCounts(t, gs.s, acc.grids[p].inner)
 	}
 }
 
-// TestViewWithMatchesView pins the parallel derivation: ViewWith fans the
-// per-attribute debias and per-grid Norm-Sub work across workers but each
-// slot's computation is independent and deterministic, so the result must
-// be bit-identical to the serial View at any worker count.
-func TestViewWithMatchesView(t *testing.T) {
-	col := viewTestCollector(t)
-	acc := NewAccumulator(col)
-	r := rng.New(31)
-	dL, dG := map[int]bool{}, map[int]bool{}
-	foldTracked(t, acc, r, 4000, dL, dG)
-
-	want := acc.View()
-	for _, workers := range []int{1, 2, 4, 16} {
-		got := acc.ViewWith(workers)
-		if got.N() != want.N() {
-			t.Fatalf("workers=%d: N %d != %d", workers, got.N(), want.N())
-		}
-		depths := col.Hierarchy().Depths()
-		for _, attr := range []int{0, 1} {
-			for d := 0; d < depths; d++ {
-				gl, wl := got.Hier(attr).levels[d], want.Hier(attr).levels[d]
-				for i := range wl {
-					if gl[i] != wl[i] {
-						t.Fatalf("workers=%d attr %d depth %d[%d]: %v != %v", workers, attr, d+1, i, gl[i], wl[i])
-					}
-				}
-			}
-		}
-		gg, wg := got.GridFor(0), want.GridFor(0)
-		for i := range wg.joint {
-			if gg.joint[i] != wg.joint[i] {
-				t.Fatalf("workers=%d grid joint[%d]: %v != %v", workers, i, gg.joint[i], wg.joint[i])
-			}
+// assertSlotCounts checks a slot holds the estimator's current counts.
+func assertSlotCounts(t *testing.T, s *slot, e *freq.Estimator) {
+	t.Helper()
+	want := e.CountsView()
+	if s.counts.N() != want.N() || s.counts.Len() != want.Len() {
+		t.Fatalf("slot n/len %d/%d, estimator %d/%d", s.counts.N(), s.counts.Len(), want.N(), want.Len())
+	}
+	for i := 0; i < want.Len(); i++ {
+		if s.counts.Count(i) != want.Count(i) {
+			t.Fatalf("slot count[%d] %v, estimator %v", i, s.counts.Count(i), want.Count(i))
 		}
 	}
 }

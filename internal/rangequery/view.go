@@ -2,17 +2,24 @@ package rangequery
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
+
+	"ldp/internal/freq"
 )
 
-// View is an immutable query-optimized snapshot of one aggregation
-// domain's range-query state: every attribute's per-depth interval
-// estimates and every pair's Norm-Sub-consistent 2-D grid, debiased once
-// at construction. Range1D and Range2D are pure lookups — no locks, no
-// estimator rebuild, no allocation — so one View can serve an arbitrary
-// number of concurrent queries at the cost of a single precomputation per
-// aggregation epoch. Build one with Accumulator.View.
+// View is an immutable query snapshot of one aggregation domain's range-
+// query state. It is made of slots — one per depth of every numeric
+// attribute's hierarchy and one per pair's 2-D grid — and each slot holds a
+// copy of its support counts and reporter count taken when the view was
+// built. A slot derives its debiased depth estimates, or its Norm-Sub-
+// consistent grid, on the first read that needs them and shares them with
+// every later read, so building a view costs a copy of its counts and a
+// query pays only for the slots it touches: the first Range1D or Range2D
+// over a slot allocates its estimate, and later reads are lookups with no
+// lock and no allocation. Each slot's derivation depends on that slot's
+// counts alone, so when it happens cannot change an answer. One View can
+// serve any number of concurrent queries. Build one with Accumulator.View
+// or Accumulator.RebuildView.
 type View struct {
 	col   *Collector
 	n     int64
@@ -20,66 +27,11 @@ type View struct {
 	grids []*GridView // aligned with col.pairs; nil when grids are disabled
 }
 
-// View snapshots the accumulator's estimates into an immutable query view.
-// The caller must exclude concurrent folds for the duration of the call
-// (the pipeline holds its shard locks).
-func (a *Accumulator) View() *View {
-	v := &View{col: a.col, n: a.n, hier: make([]*HierView, a.col.disc.src.Dim())}
-	for attr, est := range a.hier {
-		v.hier[attr] = est.View()
-	}
-	if a.grids != nil {
-		v.grids = make([]*GridView, len(a.grids))
-		for i, g := range a.grids {
-			v.grids[i] = g.View()
-		}
-	}
-	return v
-}
-
-// ViewWith snapshots like View but spreads the per-attribute hierarchy
-// debiasing and per-grid Norm-Sub derivations over up to workers
-// goroutines. Each component view is computed by the same deterministic
-// code on the same inputs as the serial path and lands in its own slot,
-// so the result is bit-identical to View(); workers <= 1 (or fewer jobs
-// than workers would split usefully) just runs View. The same exclusion
-// rules as View apply.
-func (a *Accumulator) ViewWith(workers int) *View {
-	jobs := len(a.col.numeric) + len(a.grids)
-	if workers > jobs {
-		workers = jobs
-	}
-	if workers <= 1 {
-		return a.View()
-	}
-	v := &View{col: a.col, n: a.n, hier: make([]*HierView, a.col.disc.src.Dim())}
-	if a.grids != nil {
-		v.grids = make([]*GridView, len(a.grids))
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= jobs {
-					return
-				}
-				if j < len(a.col.numeric) {
-					attr := a.col.numeric[j]
-					v.hier[attr] = a.hier[attr].View()
-				} else {
-					p := j - len(a.col.numeric)
-					v.grids[p] = a.grids[p].View()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return v
-}
+// View snapshots the accumulator's support counts into an immutable query
+// view; no slot is derived yet. The caller must exclude concurrent folds
+// for the duration of the call (the pipeline holds its shard locks or
+// owns the accumulator outright).
+func (a *Accumulator) View() *View { return a.RebuildView(nil, nil, nil) }
 
 // Collector returns the collector configuration the view was built from.
 func (v *View) Collector() *Collector { return v.col }
@@ -106,8 +58,9 @@ func (v *View) GridFor(p int) *GridView {
 }
 
 // Range1D estimates the fraction of users whose numeric attribute attr
-// (schema index) lies in [lo, hi] from the precomputed per-depth
-// estimates: a pure lookup with zero allocation.
+// (schema index) lies in [lo, hi] from the attribute's per-depth
+// estimates, deriving any depth the range's dyadic cover reads for the
+// first time in this view.
 func (v *View) Range1D(attr int, lo, hi float64) (float64, error) {
 	hv := v.Hier(attr)
 	if hv == nil {
@@ -121,8 +74,9 @@ func (v *View) Range1D(attr int, lo, hi float64) (float64, error) {
 }
 
 // Range2D estimates the fraction of users with attribute ai in [alo, ahi]
-// AND attribute aj in [blo, bhi] from the pair's precomputed consistent
-// grid: a pure lookup with zero allocation. The attribute order is free.
+// AND attribute aj in [blo, bhi] from the pair's consistent grid, deriving
+// the grid if this is its first read in this view. The attribute order is
+// free.
 func (v *View) Range2D(ai, aj int, alo, ahi, blo, bhi float64) (float64, error) {
 	if v.grids == nil {
 		return 0, fmt.Errorf("rangequery: 2-D grids are disabled in this collector")
@@ -137,4 +91,33 @@ func (v *View) Range2D(ai, aj int, alo, ahi, blo, bhi float64) (float64, error) 
 		}
 	}
 	return 0, fmt.Errorf("rangequery: no grid for attribute pair (%d,%d)", ai, aj)
+}
+
+// slot is one component of a view: a copy of one estimator's support
+// counts and reporter count taken at build, and the estimate derived from
+// them on first read.
+type slot struct {
+	counts freq.DebiasView
+	est    atomic.Pointer[[]float64]
+}
+
+// newSlot copies the counts of estimator e, which runs oracle o, into a
+// fresh, underived slot.
+func newSlot(o freq.Oracle, e *freq.Estimator) *slot {
+	return &slot{counts: freq.NewDebiasView(o, e.Counts(), e.N())}
+}
+
+// derived returns the slot's estimate, computing it with derive on the
+// first call. Racing first readers may each run derive on the same
+// immutable counts, so they compute the same bits; the first to publish
+// wins and every caller returns its slice, which callers must not modify.
+func (s *slot) derived(derive func(freq.DebiasView) []float64) []float64 {
+	if p := s.est.Load(); p != nil {
+		return *p
+	}
+	out := derive(s.counts)
+	if !s.est.CompareAndSwap(nil, &out) {
+		return *s.est.Load()
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package rangequery
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"ldp/internal/rng"
@@ -168,4 +169,176 @@ func TestGridViewMatchesEstimator(t *testing.T) {
 	if v.Joint()[0] == 99 {
 		t.Error("Joint returned the view's internal slice")
 	}
+}
+
+// derivedSlots lists the slots of a view that hold a derived estimate:
+// level slots by flat index (Collector.LevelIndex) and grids by pair.
+func derivedSlots(v *View) (levels, grids map[int]bool) {
+	levels, grids = map[int]bool{}, map[int]bool{}
+	for _, attr := range v.col.numeric {
+		for d, s := range v.Hier(attr).levels {
+			if s.est.Load() != nil {
+				levels[v.col.LevelIndex(attr, d+1)] = true
+			}
+		}
+	}
+	for p, g := range v.grids {
+		if g.s.est.Load() != nil {
+			grids[p] = true
+		}
+	}
+	return levels, grids
+}
+
+// readAll makes one 1-D read per attribute and one 2-D read, deriving
+// some of the view's slots.
+func readAll(t *testing.T, v *View) {
+	t.Helper()
+	for _, attr := range []int{0, 1} {
+		if _, err := v.Range1D(attr, -0.3, 0.55); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := v.Range2D(0, 1, -0.5, 0.5, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// assertViewsIdentical compares every depth estimate and every consistent
+// grid of two views bit for bit, deriving every slot of both.
+func assertViewsIdentical(t *testing.T, got, want *View) {
+	t.Helper()
+	if got.N() != want.N() {
+		t.Fatalf("N: %d != %d", got.N(), want.N())
+	}
+	for _, attr := range want.col.numeric {
+		gh, wh := got.Hier(attr), want.Hier(attr)
+		for l := 1; l <= len(wh.levels); l++ {
+			gl, wl := gh.depth(l), wh.depth(l)
+			for i := range wl {
+				if gl[i] != wl[i] {
+					t.Fatalf("attr %d depth %d[%d]: %v != %v", attr, l, i, gl[i], wl[i])
+				}
+			}
+		}
+	}
+	for p := range want.grids {
+		gj, wj := got.GridFor(p).Joint(), want.GridFor(p).Joint()
+		for i := range wj {
+			if gj[i] != wj[i] {
+				t.Fatalf("grid %d joint[%d]: %v != %v", p, i, gj[i], wj[i])
+			}
+		}
+	}
+}
+
+// TestViewDerivesOnFirstRead pins the lazy slots: a fresh view has derived
+// nothing, a 1-D read derives exactly the depths of its attribute that the
+// range's dyadic cover touches, a 2-D read derives only its pair's grid,
+// and a repeated read derives nothing more.
+func TestViewDerivesOnFirstRead(t *testing.T) {
+	col := viewTestCollector(t)
+	acc := NewAccumulator(col)
+	foldTracked(t, acc, rng.New(41), 2000, map[int]bool{}, map[int]bool{})
+	v := acc.View()
+	if lv, gv := derivedSlots(v); len(lv)+len(gv) != 0 {
+		t.Fatalf("fresh view derived levels %v grids %v", lv, gv)
+	}
+
+	lo, hi := -0.55, 0.55
+	b0, b1, _ := col.Discretizer().Span(lo, hi)
+	nodes, err := Decompose(col.Hierarchy().Buckets(), b0, b1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]bool{}
+	for _, n := range nodes {
+		want[col.LevelIndex(1, n.Depth)] = true
+	}
+	if len(want) < 2 || len(want) == col.Hierarchy().Depths() {
+		t.Fatalf("cover of [%d,%d] touches depths %v; want a proper subset of several", b0, b1, want)
+	}
+	for round := 0; round < 2; round++ {
+		if _, err := v.Range1D(1, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		lv, gv := derivedSlots(v)
+		if len(lv) != len(want) || len(gv) != 0 {
+			t.Fatalf("after 1-D read: levels %v grids %v, want levels %v", lv, gv, want)
+		}
+		for li := range want {
+			if !lv[li] {
+				t.Fatalf("after 1-D read: levels %v, want %v", lv, want)
+			}
+		}
+	}
+
+	if _, err := v.Range2D(1, 0, -0.5, 0.5, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if lv, gv := derivedSlots(v); len(lv) != len(want) || len(gv) != 1 || !gv[0] {
+		t.Fatalf("after 2-D read: levels %v grids %v", lv, gv)
+	}
+}
+
+// TestViewConcurrentFirstRead races many goroutines on the first read of
+// one depth and one grid of a fresh view: every reader must get the one
+// slice the slot publishes, bit-identical to a serial derivation on
+// another view of the same counts. CI runs it under the race detector.
+func TestViewConcurrentFirstRead(t *testing.T) {
+	// A wide domain makes each derivation long enough for readers to race.
+	s, err := schema.New(
+		schema.Attribute{Name: "x", Kind: schema.Numeric},
+		schema.Attribute{Name: "y", Kind: schema.Numeric},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := NewCollector(s, 1, Config{Buckets: 1 << 13, GridCells: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := NewAccumulator(col)
+	foldTracked(t, acc, rng.New(43), 300, map[int]bool{}, map[int]bool{})
+	ref := acc.View()
+	want1, err := ref.Range1D(0, -0.8, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want2, err := ref.Range2D(0, 1, -0.5, 0.5, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	v := acc.View()
+	const readers = 8
+	var (
+		start, done sync.WaitGroup
+		got1, got2  [readers]float64
+		depth       [readers][]float64
+		joint       [readers][]float64
+	)
+	start.Add(1)
+	for i := 0; i < readers; i++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			got1[i], _ = v.Range1D(0, -0.8, 0.3)
+			got2[i], _ = v.Range2D(0, 1, -0.5, 0.5, 0, 1)
+			depth[i] = v.Hier(0).depth(col.Hierarchy().Depths())
+			joint[i] = v.GridFor(0).s.derived(consistent)
+		}()
+	}
+	start.Done()
+	done.Wait()
+	for i := 0; i < readers; i++ {
+		if got1[i] != want1 || got2[i] != want2 {
+			t.Fatalf("reader %d: 1-D %v 2-D %v, want %v %v", i, got1[i], got2[i], want1, want2)
+		}
+		if &depth[i][0] != &depth[0][0] || &joint[i][0] != &joint[0][0] {
+			t.Fatalf("reader %d got a different slice than reader 0", i)
+		}
+	}
+	assertViewsIdentical(t, v, ref)
 }

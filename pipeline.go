@@ -125,8 +125,8 @@ func WithTaskWeight(kind TaskKind, w float64) PipelineOption {
 // has arrived, so queries are always exact; servers answering heavy
 // dashboard traffic under full-rate ingest should set a real bound.
 // Result.Epoch, Result.Watermark, and Result.BuiltAt identify a cached
-// view; Result.FreqView and Result.RangeView answer from it without
-// allocating.
+// view; Result.FreqView and Result.RangeView answer from it, allocating
+// only on the first read of each attribute, hierarchy level or grid.
 func WithQueryStaleness(reports int64, maxAge time.Duration) PipelineOption {
 	return pipeline.WithQueryStaleness(reports, maxAge)
 }
@@ -135,7 +135,8 @@ func WithQueryStaleness(reports int64, maxAge time.Duration) PipelineOption {
 // when the ingest delta since the cached view is at most maxDeltaFrac of
 // the watermark, a rebuild folds only the dirty shards' count deltas into
 // the previous view's immutable state instead of re-summing the whole
-// domain; estimates are bit-identical either way. maxDeltaFrac must be in
+// domain, and no rebuild derives an estimate before a query reads it;
+// estimates are bit-identical either way. maxDeltaFrac must be in
 // [0, 1]; 0 disables incremental maintenance. The default is 0.25.
 func WithIncrementalView(maxDeltaFrac float64) PipelineOption {
 	return pipeline.WithIncrementalView(maxDeltaFrac)

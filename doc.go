@@ -44,7 +44,9 @@
 // GetBatch/PutBatch recycling buffers) and Pipeline.AddBatch validates
 // the whole batch up front, then folds one contiguous span per shard
 // under a single lock acquisition — zero allocations per report in the
-// steady state. Per-report Add is AddBatch on a one-report batch, so
+// steady state. A shard's state is flat numeric sums and frequency-oracle
+// count columns (one per categorical attribute, range hierarchy level and
+// 2-D grid); nothing is debiased until a query reads it. Per-report Add is AddBatch on a one-report batch, so
 // every report passes the same single validator and the same fold
 // however it arrives; AppendReport assembles batch uploads client-side
 // without per-report allocation.

@@ -95,7 +95,7 @@ func rangeRun(s *schema.Schema, eps float64, n int, seed uint64) (map[string]flo
 	if err != nil {
 		return nil, err
 	}
-	acc := rangequery.NewAccumulator(col)
+	st := col.NewState()
 	// Flat baseline: each user reports their leaf bucket of one uniformly
 	// sampled attribute through OUE over all B values.
 	flatCol, err := hist.NewCollector(eps, rangeBuckets, nil)
@@ -117,9 +117,10 @@ func rangeRun(s *schema.Schema, eps float64, n int, seed uint64) (map[string]flo
 		if err != nil {
 			return nil, err
 		}
-		if err := acc.Add(rep); err != nil {
+		if err := col.Validate(rep); err != nil {
 			return nil, err
 		}
+		col.Fold(st, rep)
 	}
 	elapsed := time.Since(start)
 	for i := 0; i < n; i++ {
@@ -131,6 +132,7 @@ func rangeRun(s *schema.Schema, eps float64, n int, seed uint64) (map[string]flo
 	res := map[string]float64{
 		"krps": float64(n) / elapsed.Seconds() / 1000,
 	}
+	view := col.View(st)
 	// 1-D MSE over both attributes and the query workload.
 	var hierSE, flatSE float64
 	for a := 0; a < 2; a++ {
@@ -142,7 +144,7 @@ func rangeRun(s *schema.Schema, eps float64, n int, seed uint64) (map[string]flo
 				}
 			}
 			truth /= float64(n)
-			got, err := acc.Range1D(a, q[0], q[1])
+			got, err := view.Range1D(a, q[0], q[1])
 			if err != nil {
 				return nil, err
 			}
@@ -164,7 +166,7 @@ func rangeRun(s *schema.Schema, eps float64, n int, seed uint64) (map[string]flo
 			}
 		}
 		truth /= float64(n)
-		got, err := acc.Range2D(0, 1, q[0], q[1], q[2], q[3])
+		got, err := view.Range2D(0, 1, q[0], q[1], q[2], q[3])
 		if err != nil {
 			return nil, err
 		}

@@ -409,45 +409,6 @@ func (v DebiasView) AppendEstimates(dst []float64) []float64 {
 	return dst
 }
 
-// SyncDelta folds the elementwise difference cur - base of two
-// estimators' support counts (and reporter counts) into dst, and advances
-// base to match cur: the primitive behind incremental view maintenance,
-// where base is a per-shard baseline of the last synced state, cur the
-// shard's live estimator, and dst the cumulative cross-shard aggregate.
-// All three estimators must share a domain. Only entries whose counts
-// actually moved are touched, so the cost is proportional to the delta's
-// support, not the domain.
-//
-// Support counts are integer-valued float64 sums of 0/1 indicators, so
-// the baseline-delta arithmetic is exact (no rounding below 2^53): after
-// any interleaving of syncs, dst holds bit-identical counts to a direct
-// elementwise sum of the cur estimators.
-func SyncDelta(cur, base, dst *Estimator) {
-	for i, v := range cur.counts {
-		if d := v - base.counts[i]; d != 0 {
-			dst.counts[i] += d
-			base.counts[i] = v
-		}
-	}
-	if d := cur.n - base.n; d != 0 {
-		dst.n += d
-		base.n = cur.n
-	}
-}
-
-// AddCounts folds pre-aggregated support counts for nUsers responses
-// (used when merging transport-level aggregates).
-func (e *Estimator) AddCounts(counts []float64, nUsers int64) error {
-	if len(counts) != len(e.counts) {
-		return fmt.Errorf("freq: count vector has %d entries, want %d", len(counts), len(e.counts))
-	}
-	for i, c := range counts {
-		e.counts[i] += c
-	}
-	e.n += nUsers
-	return nil
-}
-
 // Merge combines another estimator (for the same oracle configuration).
 func (e *Estimator) Merge(o *Estimator) {
 	for i := range e.counts {

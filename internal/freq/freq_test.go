@@ -240,20 +240,6 @@ func TestEstimatorMerge(t *testing.T) {
 	}
 }
 
-func TestEstimatorAddCounts(t *testing.T) {
-	o, _ := NewOUE(1, 3)
-	e := NewEstimator(o)
-	if err := e.AddCounts([]float64{10, 5, 1}, 20); err != nil {
-		t.Fatal(err)
-	}
-	if e.N() != 20 {
-		t.Errorf("N = %d, want 20", e.N())
-	}
-	if err := e.AddCounts([]float64{1, 2}, 3); err == nil {
-		t.Error("want length-mismatch error")
-	}
-}
-
 func TestEstimatorEmpty(t *testing.T) {
 	o, _ := NewOUE(1, 3)
 	for _, v := range NewEstimator(o).Estimates() {

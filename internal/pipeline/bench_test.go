@@ -99,6 +99,76 @@ func BenchmarkPipelineAddBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineAddBatchRange measures the batch fold of the served
+// configuration: BR at eps 1 with the range task registered (default
+// 256 buckets, 8x8 grids), so about a third of the reports fold into a
+// hierarchy level or grid column. One op folds one pre-randomized
+// 64-report batch; the CI allocation guard holds it to 0 allocs/op.
+func BenchmarkPipelineAddBatchRange(b *testing.B) {
+	const bs = 64
+	c := dataset.NewBR()
+	p, err := New(c.Schema(), 1, WithRange(rangequery.Config{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	batches := make([]*ReportBatch, 64)
+	for i := range batches {
+		batches[i] = NewReportBatch()
+		for j := 0; j < bs; j++ {
+			r := rng.NewStream(3, uint64(i*bs+j))
+			rep, err := p.Randomize(c.Tuple(r), r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			batches[i].Append(rep)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.AddBatch(batches[i%len(batches)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bs), "ns/report")
+}
+
+// BenchmarkStateSnapshot measures StateSnapshot, the export every edge
+// push of a fan-in tier runs: BR at eps 1 with 2 shards holding 16,384
+// reports, over a small (256 buckets, 8x8 grids) and a large (4096
+// buckets, 32x32 grids) range domain.
+func BenchmarkStateSnapshot(b *testing.B) {
+	for _, dom := range []struct{ buckets, cells int }{{256, 8}, {4096, 32}} {
+		b.Run(fmt.Sprintf("B%d_g%d", dom.buckets, dom.cells), func(b *testing.B) {
+			c := dataset.NewBR()
+			p, err := New(c.Schema(), 1, WithShards(2),
+				WithRange(rangequery.Config{Buckets: dom.buckets, GridCells: dom.cells}))
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch := NewReportBatch()
+			for i := 0; i < 16384; i++ {
+				r := rng.NewStream(4, uint64(i))
+				rep, err := p.Randomize(c.Tuple(r), r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				batch.Append(rep)
+			}
+			if err := p.AddBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if st := p.StateSnapshot(); st.Total() != 16384 {
+					b.Fatalf("snapshot holds %d reports, want 16384", st.Total())
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkBatchAppend measures building a batch from materialized
 // reports (the bench harness path; the server decodes wire frames into
 // the batch directly).

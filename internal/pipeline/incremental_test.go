@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,15 +44,17 @@ func rebuildCounts(p *Pipeline) (inc, full uint64) {
 // single Add, AddBatch, MergeState fan-in, gradient folds, and a
 // crossover-triggering burst — the cached view must answer every query
 // surface bit-exactly like a fresh full Snapshot at the same watermark.
-// The rebuild-kind counters prove each comparison exercised the path it
-// claims to (incremental syncs for small deltas, full fallback past the
-// crossover, incremental again after the fallback re-arms the baselines).
+// After every rebuild the builder's running range sum must also equal the
+// shards' summed range columns. The rebuild-kind counters prove each
+// comparison exercised the path it claims to (incremental syncs for small
+// deltas, full fallback past the crossover, incremental again after the
+// fallback re-arms the baselines).
 func TestIncrementalViewMatchesSnapshot(t *testing.T) {
 	p, _ := incPipeline(t, 3)
 
 	// Cold start: the first view has no predecessor, so it must be full.
 	ingestStateReports(t, 11, 2000, p)
-	assertResultsIdentical(t, p.View(), p.Snapshot())
+	assertViewMatchesSnapshot(t, p)
 	if inc, full := rebuildCounts(p); inc != 0 || full != 1 {
 		t.Fatalf("after cold view: inc=%d full=%d, want 0/1", inc, full)
 	}
@@ -59,7 +62,7 @@ func TestIncrementalViewMatchesSnapshot(t *testing.T) {
 	// Small deltas: every rebuild folds only the delta.
 	for round := 0; round < 5; round++ {
 		ingestStateReports(t, uint64(20+round), 15, p)
-		assertResultsIdentical(t, p.View(), p.Snapshot())
+		assertViewMatchesSnapshot(t, p)
 	}
 	if inc, full := rebuildCounts(p); inc != 5 || full != 1 {
 		t.Fatalf("after small deltas: inc=%d full=%d, want 5/1", inc, full)
@@ -81,7 +84,7 @@ func TestIncrementalViewMatchesSnapshot(t *testing.T) {
 	if p.View() != v {
 		t.Fatal("gradient folds invalidated the analytics view")
 	}
-	assertResultsIdentical(t, p.View(), p.Snapshot())
+	assertViewMatchesSnapshot(t, p)
 
 	// Cluster fan-in: MergeState marks exactly the state's active
 	// components dirty, and the next incremental rebuild folds them.
@@ -90,14 +93,14 @@ func TestIncrementalViewMatchesSnapshot(t *testing.T) {
 	if err := p.MergeState(src.StateSnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	assertResultsIdentical(t, p.View(), p.Snapshot())
+	assertViewMatchesSnapshot(t, p)
 	if inc, full := rebuildCounts(p); inc != 6 || full != 1 {
 		t.Fatalf("after MergeState: inc=%d full=%d, want 6/1", inc, full)
 	}
 
 	// A delta past the crossover fraction falls back to a full snapshot…
 	ingestStateReports(t, 41, 3000, p)
-	assertResultsIdentical(t, p.View(), p.Snapshot())
+	assertViewMatchesSnapshot(t, p)
 	if inc, full := rebuildCounts(p); inc != 6 || full != 2 {
 		t.Fatalf("after burst: inc=%d full=%d, want 6/2", inc, full)
 	}
@@ -105,9 +108,20 @@ func TestIncrementalViewMatchesSnapshot(t *testing.T) {
 	// …and the fallback keeps the baselines synced, so the very next
 	// small delta is incremental again and still bit-exact.
 	ingestStateReports(t, 43, 10, p)
-	assertResultsIdentical(t, p.View(), p.Snapshot())
+	assertViewMatchesSnapshot(t, p)
 	if inc, full := rebuildCounts(p); inc != 7 || full != 2 {
 		t.Fatalf("after re-arm: inc=%d full=%d, want 7/2", inc, full)
+	}
+}
+
+// assertViewMatchesSnapshot rebuilds the cached view and checks it
+// answers like a fresh full Snapshot, and that the builder's running
+// range sum equals StateSnapshot's range columns count for count.
+func assertViewMatchesSnapshot(t *testing.T, p *Pipeline) {
+	t.Helper()
+	assertResultsIdentical(t, p.View(), p.Snapshot())
+	if got, want := p.view.aggRange, p.StateSnapshot().Range; !reflect.DeepEqual(got, want) {
+		t.Fatalf("running range sum drifted from the shards' sum: N %d vs %d", got.N, want.N)
 	}
 }
 

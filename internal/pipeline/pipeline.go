@@ -214,11 +214,10 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 
 // shard is one lock domain of the aggregation state. Its AggState is flat
 // arrays — numeric sums and raw frequency-oracle support counts per
-// attribute — so folding a report (or a whole batch span) is direct array
-// arithmetic with no estimator or interface indirection; Snapshot rebuilds
-// debiasing estimators from the counts. Range reports fold into rangeAcc
-// instead of the state's Range field, which stays nil. Everything is
-// guarded by mu.
+// attribute, hierarchy level and grid — so folding a report (or a whole
+// batch span) is direct array arithmetic with no estimator or interface
+// indirection; queries debias the summed counts on their first read.
+// Everything is guarded by mu.
 type shard struct {
 	mu sync.Mutex
 
@@ -230,8 +229,6 @@ type shard struct {
 	epoch atomic.Int64
 
 	st AggState
-
-	rangeAcc *rangequery.Accumulator // nil when the range task is absent
 
 	// Dirty bits for incremental view maintenance, written by the fold
 	// paths under mu on every event that touches a component and drained
@@ -268,14 +265,6 @@ type Pipeline struct {
 	cursor  atomic.Uint64
 	view    viewCache
 	met     pipelineMetrics // nil handles (no-ops) without WithTelemetry
-
-	// lvlBase maps a schema attribute to the base of its hierarchy level
-	// slots (lvlBase[attr]+depth-1 is the slot of one level; -1 for
-	// non-numeric attributes); lvlSlots/gridSlots size the dirty bitsets.
-	// All zero/nil when the range task is absent.
-	lvlBase   []int
-	lvlSlots  int
-	gridSlots int
 
 	// attrMeta caches per-attribute validation facts (kind, cardinality,
 	// bitset width) so the report validator is a table-driven columnar
@@ -408,15 +397,6 @@ func New(s *schema.Schema, eps float64, opts ...Option) (*Pipeline, error) {
 		p.attrMeta[i] = m
 	}
 
-	if p.rangeT != nil {
-		col := p.rangeT.col
-		p.lvlSlots = col.LevelSlots()
-		p.gridSlots = col.GridSlots()
-		p.lvlBase = make([]int, s.Dim())
-		for i := range p.lvlBase {
-			p.lvlBase[i] = col.LevelIndex(i, 1)
-		}
-	}
 	p.shards = make([]*shard, cfg.shards)
 	for i := range p.shards {
 		p.shards[i] = p.newShard()
@@ -435,9 +415,8 @@ func (p *Pipeline) newShard() *shard {
 	d := p.sch.Dim()
 	sh := &shard{st: *p.newAggState()}
 	if p.rangeT != nil {
-		sh.rangeAcc = rangequery.NewAccumulator(p.rangeT.col)
-		sh.dLevel = newBits(p.lvlSlots)
-		sh.dGrid = newBits(p.gridSlots)
+		sh.dLevel = newBits(p.rangeT.col.LevelSlots())
+		sh.dGrid = newBits(p.rangeT.col.GridSlots())
 	}
 	if p.freq != nil {
 		sh.dFreq = newBits(d)
@@ -774,16 +753,6 @@ func (p *Pipeline) foldBatch(b *ReportBatch) {
 	}
 }
 
-// markRange sets the dirty bit of the one component a validated range
-// report touched. The caller holds the shard lock.
-func (sh *shard) markRange(p *Pipeline, rr *rangequery.Report) {
-	if rr.Kind == rangequery.KindHier {
-		sh.dLevel.set(p.lvlBase[rr.Attr] + rr.Depth - 1)
-	} else {
-		sh.dGrid.set(rr.Pair)
-	}
-}
-
 // foldSpan folds the validated reports [lo, hi) of a batch into a shard:
 // pure array arithmetic, no validation, no allocation. It returns the
 // number of reports folded into the shard (gradient reports ride the
@@ -834,8 +803,11 @@ func (p *Pipeline) foldSpan(sh *shard, b *ReportBatch, lo, hi int) int {
 			folded++
 		case TaskRange:
 			rr := b.rangeAlias(i)
-			sh.rangeAcc.FoldValidated(rr)
-			sh.markRange(p, &rr)
+			if slot := p.rangeT.col.Fold(sh.st.Range, rr); rr.Kind == rangequery.KindHier {
+				sh.dLevel.set(slot)
+			} else {
+				sh.dGrid.set(slot)
+			}
 			sh.st.NRange++
 			folded++
 		}
@@ -895,20 +867,21 @@ func (p *Pipeline) Watermark() int64 {
 // shards are not blocked. Reports added while the snapshot is in progress
 // may or may not be included.
 //
-// The result holds raw pooled support counts, not rebuilt estimators:
-// debiasing happens lazily per queried attribute (freq.DebiasView with
-// the schema's precomputed support probabilities), and the range state is
-// a rangequery.View whose hierarchy levels and grids each derive on their
-// first read, so the first Range call over a slot allocates and later
-// ones are lookups. Most callers should prefer View, which memoizes one
-// Result behind an atomic pointer and rebuilds only when the ingest
-// watermark moves past the configured staleness bound.
+// The result holds raw pooled support counts, not estimators: debiasing
+// happens lazily per queried attribute (freq.DebiasView with the schema's
+// precomputed support probabilities), and the summed range columns are
+// copied into a rangequery.View whose hierarchy levels and grids each
+// derive on their first read, so the first Range call over a slot
+// allocates and later ones are lookups. Most callers should prefer View,
+// which memoizes one Result behind an atomic pointer and rebuilds only
+// when the ingest watermark moves past the configured staleness bound.
 func (p *Pipeline) Snapshot() *Result {
-	st, rangeAcc := p.sumShards()
+	st := p.sumShards()
 	res := &Result{st: *st}
 	p.fillResult(res, make([]atomic.Pointer[[]float64], p.sch.Dim()))
-	if rangeAcc != nil {
-		res.rangeView = rangeAcc.View()
+	if st.Range != nil {
+		res.rangeView = p.rangeT.col.View(st.Range)
+		res.st.Range = nil
 	}
 	return res
 }

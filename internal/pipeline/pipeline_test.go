@@ -558,6 +558,37 @@ func TestResultQueryErrors(t *testing.T) {
 	if got, err := res.Mean("age"); err != nil || got != 0 {
 		t.Errorf("empty pipeline Mean = %v, %v; want 0, nil", got, err)
 	}
+
+	// Range endpoints: NaN is one clear error in 1-D and 2-D alike, while
+	// ±Inf clamps to the domain.
+	rp, err := New(jointSchema(t), 1, WithRange(rangequery.Config{Buckets: 16, GridCells: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rres := rp.Snapshot()
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		q       RangeQuery
+		wantErr string
+	}{
+		{RangeQuery{Attr: "age", Lo: nan, Hi: 0.5}, "rangequery: range endpoint is NaN"},
+		{RangeQuery{Attr: "age", Lo: -0.5, Hi: nan}, "rangequery: range endpoint is NaN"},
+		{RangeQuery{Attr: "age", Lo: -0.5, Hi: 0.5, Attr2: "income", Lo2: nan, Hi2: 1}, "rangequery: range endpoint is NaN"},
+		{RangeQuery{Attr: "age", Lo: nan, Hi: 0.5, Attr2: "income", Lo2: 0, Hi2: 1}, "rangequery: range endpoint is NaN"},
+		{RangeQuery{Attr: "age", Lo: -inf, Hi: inf}, ""},
+		{RangeQuery{Attr: "age", Lo: -inf, Hi: inf, Attr2: "income", Lo2: -inf, Hi2: inf}, ""},
+	} {
+		got, err := rres.Range(tc.q)
+		if tc.wantErr == "" {
+			if err != nil || math.IsNaN(got) {
+				t.Errorf("Range(%+v) = %v, %v; want a clamped answer", tc.q, got, err)
+			}
+			continue
+		}
+		if err == nil || err.Error() != tc.wantErr {
+			t.Errorf("Range(%+v) = %v, %v; want error %q", tc.q, got, err, tc.wantErr)
+		}
+	}
 }
 
 // TestPipelineMergeJoint: joint-task reports split across two pipelines

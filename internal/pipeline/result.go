@@ -27,12 +27,12 @@ type RangeQuery struct {
 // 1-D/2-D range queries. Methods are safe for concurrent use.
 //
 // Internally a Result is the summed AggState plus precomputed constants,
-// not rebuilt estimators: numeric sums, pooled frequency-oracle support
-// counts debiased lazily per queried attribute (the combined estimate is
+// not estimators: numeric sums, pooled frequency-oracle support counts
+// debiased lazily per queried attribute (the combined estimate is
 // memoized, so repeated queries are lookups), and a rangequery.View that
-// holds each hierarchy level's and grid's support counts and derives
-// that slot's interval estimates or Norm-Sub-consistent grid on its
-// first read, sharing them with every later read.
+// holds a copy of each hierarchy level's and grid's summed count column
+// and derives that slot's interval estimates or Norm-Sub-consistent grid
+// on its first read, sharing them with every later read.
 type Result struct {
 	sch *schema.Schema
 
@@ -42,9 +42,10 @@ type Result struct {
 	built time.Time
 
 	// st is the summed aggregate. Its Range and Trainer fields are nil:
-	// range answers come from rangeView. The freq and joint tasks run
-	// their oracles at different budgets, so their support counts pool
-	// separately and combine at query time, debiased by these oracles.
+	// range answers come from rangeView, which copied the range columns.
+	// The freq and joint tasks run their oracles at different budgets, so
+	// their support counts pool separately and combine at query time,
+	// debiased by these oracles.
 	st           AggState
 	freqOracles  []freq.Oracle
 	jointOracles []freq.Oracle
@@ -231,6 +232,6 @@ func (r *Result) Range(q RangeQuery) (float64, error) {
 }
 
 // RangeView exposes the snapshot's range-query view (nil when the range
-// task is absent), for callers that need the lower-level estimator
-// surface. Its slots derive on first read, shared with Range.
+// task is absent), for callers that need its per-attribute hierarchy and
+// per-pair grid views. Its slots derive on first read, shared with Range.
 func (r *Result) RangeView() *rangequery.View { return r.rangeView }

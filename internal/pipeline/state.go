@@ -11,22 +11,22 @@ import (
 
 // AggState is the one in-memory shape of a pipeline's aggregate: the
 // additive report counters, numeric sums, support counts, and reporter
-// counts every estimate derives from. Each shard folds reports into one,
-// the view builder keeps one per shard as its sync point, a Result holds
-// their sum, and StateSnapshot exports that sum. Two states exported from
-// pipelines with the same Fingerprint combine by elementwise addition, and
-// the estimates computed from a sum of states are identical to the
-// estimates a single pipeline would compute after ingesting all the
-// underlying reports — that exactness is what the cluster fan-in tier is
-// built on.
+// counts every estimate derives from, range columns included. Each shard
+// folds reports into one, the view builder keeps one per shard as its
+// sync point, a Result holds their sum, and StateSnapshot exports that
+// sum. Two states exported from pipelines with the same Fingerprint
+// combine by elementwise addition, and the estimates computed from a sum
+// of states are identical to the estimates a single pipeline would
+// compute after ingesting all the underlying reports — that exactness is
+// what the cluster fan-in tier is built on.
 //
 // Slices are indexed by schema attribute; FreqCounts/JointCounts entries
-// are nil for numeric attributes. Range and Trainer are set only on
-// exported states (shards fold range reports into a
-// rangequery.Accumulator and gradient reports into the Trainer). Trainer
-// is a read-only observability snapshot: round-based federated training
-// state has no meaningful union, so MergeState rejects states that carry
-// it.
+// are nil for numeric attributes. A Result's Range is nil (it answers
+// range queries from a rangequery.View of the summed columns), and
+// Trainer is set only on exported states (shards fold gradient reports
+// into the Trainer). Trainer is a read-only observability snapshot:
+// round-based federated training state has no meaningful union, so
+// MergeState rejects states that carry it.
 type AggState struct {
 	NMean  int64
 	NFreq  int64
@@ -41,8 +41,8 @@ type AggState struct {
 	JointCounts [][]float64
 	JointN      []int64
 
-	// Range is the range-task accumulator state; nil when the pipeline
-	// has no range task.
+	// Range holds the range task's count columns, one per hierarchy level
+	// and grid; nil when the pipeline has no range task.
 	Range *rangequery.AccState
 
 	// Trainer is the federated-SGD coordinator snapshot; nil when the
@@ -79,33 +79,41 @@ func (p *Pipeline) newAggState() *AggState {
 	if p.freq != nil {
 		st.FreqCounts = make([][]float64, d)
 		st.FreqN = make([]int64, d)
-		for _, j := range p.freq.attrs {
-			st.FreqCounts[j] = make([]float64, p.sch.Attrs[j].Cardinality)
-		}
 	}
 	if p.joint.oracles != nil {
 		st.JointCounts = make([][]float64, d)
 		st.JointN = make([]int64, d)
-		for j, o := range p.joint.oracles {
-			if o != nil {
-				st.JointCounts[j] = make([]float64, o.Cardinality())
-			}
-		}
+	}
+	p.zeroCols(st)
+	if p.rangeT != nil {
+		st.Range = p.rangeT.col.NewState()
 	}
 	return st
 }
 
-// StateSnapshot exports the pipeline's raw aggregate state: sumShards'
-// in-order sum, plus the range accumulator's state and a trainer snapshot.
-// Like Snapshot it locks shards one at a time, so concurrent ingest on
-// other shards proceeds; reports folded while the export is in progress
-// may or may not be included. The returned state shares no memory with
-// the pipeline.
-func (p *Pipeline) StateSnapshot() *AggState {
-	st, rangeAcc := p.sumShards()
-	if rangeAcc != nil {
-		st.Range = rangeAcc.ExportState()
+// zeroCols fills st's freq and joint count-column tables, which must be
+// allocated, with zeroed columns of the pipeline's domains.
+func (p *Pipeline) zeroCols(st *AggState) {
+	if p.freq != nil {
+		for _, j := range p.freq.attrs {
+			st.FreqCounts[j] = make([]float64, p.sch.Attrs[j].Cardinality)
+		}
 	}
+	for j, o := range p.joint.oracles {
+		if o != nil {
+			st.JointCounts[j] = make([]float64, o.Cardinality())
+		}
+	}
+}
+
+// StateSnapshot exports the pipeline's raw aggregate state: sumShards'
+// in-order sum, range columns included, plus a trainer snapshot. Like
+// Snapshot it locks shards one at a time, so concurrent ingest on other
+// shards proceeds; reports folded while the export is in progress may or
+// may not be included. The returned state is the sum itself, which
+// shares no memory with the pipeline.
+func (p *Pipeline) StateSnapshot() *AggState {
+	st := p.sumShards()
 	if p.trainer != nil {
 		m := p.trainer.Model()
 		st.Trainer = &TrainerState{
@@ -119,27 +127,19 @@ func (p *Pipeline) StateSnapshot() *AggState {
 	return st
 }
 
-// sumShards adds every shard's state into a fresh one, and every shard's
-// range accumulator into a fresh accumulator (nil without the range task),
-// locking one shard at a time. The float sums add in shard order, so
-// Snapshot, StateSnapshot, and the view builder's re-sum over its
-// baselines all produce the same bits.
-func (p *Pipeline) sumShards() (*AggState, *rangequery.Accumulator) {
+// sumShards adds every shard's state into a fresh one, locking one shard
+// at a time. The float sums add in shard order, so Snapshot,
+// StateSnapshot, and the view builder's re-sum over its baselines all
+// produce the same bits.
+func (p *Pipeline) sumShards() *AggState {
 	st := p.newAggState()
-	var rangeAcc *rangequery.Accumulator
-	if p.rangeT != nil {
-		rangeAcc = rangequery.NewAccumulator(p.rangeT.col)
-	}
 	for _, sh := range p.shards {
 		sh.mu.Lock()
 		st.addScalars(&sh.st)
 		st.addCounts(&sh.st)
-		if rangeAcc != nil {
-			rangeAcc.Merge(sh.rangeAcc)
-		}
 		sh.mu.Unlock()
 	}
-	return st, rangeAcc
+	return st
 }
 
 // addScalars adds o's report counters, numeric sums, and reporter counts
@@ -155,14 +155,27 @@ func (st *AggState) addScalars(o *AggState) {
 	addVec(st.JointN, o.JointN)
 }
 
-// addCounts adds o's support-count columns into st elementwise. Shapes
-// must match.
+// addCounts adds o's support-count columns into st elementwise: the freq
+// and joint columns, and the range columns with their reporter counts.
+// Shapes must match.
 func (st *AggState) addCounts(o *AggState) {
 	for j, col := range o.FreqCounts {
 		addVec(st.FreqCounts[j], col)
 	}
 	for j, col := range o.JointCounts {
 		addVec(st.JointCounts[j], col)
+	}
+	if o.Range != nil {
+		st.Range.N += o.Range.N
+		addCountStates(st.Range.Levels, o.Range.Levels)
+		addCountStates(st.Range.Grids, o.Range.Grids)
+	}
+}
+
+func addCountStates(dst, src []rangequery.CountState) {
+	for i := range src {
+		addVec(dst[i].Counts, src[i].Counts)
+		dst[i].N += src[i].N
 	}
 }
 
@@ -294,13 +307,6 @@ func (p *Pipeline) MergeState(st *AggState) error {
 	defer sh.mu.Unlock()
 	sh.st.addScalars(st)
 	sh.st.addCounts(st)
-	if st.Range != nil {
-		if err := sh.rangeAcc.AddState(st.Range); err != nil {
-			// CheckState already validated shapes; this is unreachable, but
-			// surface it rather than silently under-merging.
-			return err
-		}
-	}
 	// Mark the components the state actually touched so the next
 	// incremental view rebuild re-syncs exactly those. Activity is judged
 	// by reporter count OR support counts: a merged state can move one
@@ -411,8 +417,9 @@ func subCols(ac [][]float64, an []int64, bc [][]float64, bn []int64) ([][]float6
 	return counts, ns, nil
 }
 
-// Add folds o into the state elementwise; shapes must match. Trainer
-// snapshots do not add and must be absent from o.
+// Add folds o into the state elementwise. Shapes must match, range
+// columns included; on a mismatch Add returns an error before it adds
+// anything. Trainer snapshots do not add and must be absent from o.
 func (st *AggState) Add(o *AggState) error {
 	if o == nil {
 		return nil
@@ -423,13 +430,8 @@ func (st *AggState) Add(o *AggState) error {
 	if len(st.MeanSum) != len(o.MeanSum) || len(st.JointSum) != len(o.JointSum) ||
 		len(st.FreqN) != len(o.FreqN) || len(st.JointN) != len(o.JointN) ||
 		!sameCols(st.FreqCounts, o.FreqCounts) || !sameCols(st.JointCounts, o.JointCounts) ||
-		(st.Range == nil) != (o.Range == nil) {
+		(st.Range == nil) != (o.Range == nil) || (o.Range != nil && !st.Range.SameShape(o.Range)) {
 		return fmt.Errorf("pipeline: adding states of different shapes")
-	}
-	if o.Range != nil {
-		if err := st.Range.Add(o.Range); err != nil {
-			return err
-		}
 	}
 	st.addScalars(o)
 	st.addCounts(o)

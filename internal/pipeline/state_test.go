@@ -156,9 +156,10 @@ func TestStateSubAddRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateAddIsAtomic: AggState.Add adds the range state first, so a
-// peer whose last hierarchy level has one bucket more than the receiver's
-// must be refused before anything, range counts included, is added.
+// TestStateAddIsAtomic: AggState.Add checks every shape, range columns
+// included, before it adds anything, so a peer whose last hierarchy level
+// has one bucket more than the receiver's is refused with the receiver
+// unchanged.
 func TestStateAddIsAtomic(t *testing.T) {
 	src := statePipeline(t, 1)
 	ingestStateReports(t, 41, 500, src)

@@ -39,15 +39,16 @@ type viewCache struct {
 
 	// Incremental-rebuild state, all touched only by the builder under mu.
 	// incFrac is the WithIncrementalView crossover (<= 0 disables); base
-	// holds one sync point per shard; aggRange carries the cross-shard
-	// range support counts every published view copies its slots from.
+	// holds one sync point per shard; aggRange is the running cross-shard
+	// sum of the range columns, synced in place, that every published view
+	// copies its dirty slots from.
 	// The bitsets are per-build scratch: the unions of the shards' dirty
 	// bits (uFreq/uJoint by attribute, uLevel/uGrid by slot) and the
 	// copy-on-write markers of the two count-column families.
 	incFrac  float64
 	slab     shellSlab
 	base     []shardBaseline
-	aggRange *rangequery.Accumulator
+	aggRange *rangequery.AccState
 	uFreq    bitset
 	uJoint   bitset
 	uLevel   bitset
@@ -87,9 +88,9 @@ type shardBaseline struct {
 	// column's last sync. The builder re-sums the scalars in shard order
 	// for every rebuild, which is bit-identical to sumShards over the live
 	// shards (a skipped shard's copies equal its live state), while costing
-	// clean shards no lock acquisition.
-	st  AggState
-	rng *rangequery.Accumulator
+	// clean shards no lock acquisition. Its range columns, like its support
+	// counts, are as of each column's last sync.
+	st AggState
 
 	// epoch is the shard's epoch counter at the last sync. Every fold
 	// path bumps the shard epoch under the shard lock together with
@@ -257,14 +258,11 @@ func (p *Pipeline) ensureBuilderState() {
 	vc.base = make([]shardBaseline, len(p.shards))
 	for i := range vc.base {
 		vc.base[i].st = *p.newAggState()
-		if p.rangeT != nil {
-			vc.base[i].rng = rangequery.NewAccumulator(p.rangeT.col)
-		}
 	}
 	if p.rangeT != nil {
-		vc.aggRange = rangequery.NewAccumulator(p.rangeT.col)
-		vc.uLevel = newBits(p.lvlSlots)
-		vc.uGrid = newBits(p.gridSlots)
+		vc.aggRange = p.rangeT.col.NewState()
+		vc.uLevel = newBits(p.rangeT.col.LevelSlots())
+		vc.uGrid = newBits(p.rangeT.col.GridSlots())
 	}
 	if p.freq != nil {
 		vc.uFreq = newBits(d)
@@ -339,10 +337,10 @@ func (p *Pipeline) newResultShellSlab() *Result {
 // fallback. Support counts are integer-valued float64 sums of indicators,
 // so baseline-delta arithmetic is exact and an incremental view is
 // bit-identical to a full snapshot at the same watermark. Counts sync
-// eagerly, but estimates do not: the range view copies the counts of the
-// dirty levels and grids (of every slot in full mode) and carries the
-// rest over from prev, and each slot derives its estimate on its first
-// read. The caller holds view.mu.
+// eagerly, the range columns into the running sum aggRange, but estimates
+// do not: the range view copies aggRange's dirty levels and grids (every
+// slot in full mode) and carries the rest over from prev, and each slot
+// derives its estimate on its first read. The caller holds view.mu.
 func (p *Pipeline) buildSync(prev *Result, full bool) *Result {
 	vc := &p.view
 	res := p.newResultShellSlab()
@@ -351,7 +349,7 @@ func (p *Pipeline) buildSync(prev *Result, full bool) *Result {
 		// The first build has no view to alias: it syncs into zeroed
 		// columns.
 		full = true
-		res.st = *p.newAggState()
+		p.zeroCols(&res.st)
 	} else {
 		// Seed the count columns aliasing the previous view's; syncFamily
 		// copies a column the moment its first delta lands (published
@@ -367,7 +365,7 @@ func (p *Pipeline) buildSync(prev *Result, full bool) *Result {
 	vc.uGrid.zero()
 	var rangeNBefore int64
 	if vc.aggRange != nil {
-		rangeNBefore = vc.aggRange.N()
+		rangeNBefore = vc.aggRange.N
 	}
 	dirtyShards := 0
 	for si, sh := range p.shards {
@@ -393,28 +391,14 @@ func (p *Pipeline) buildSync(prev *Result, full bool) *Result {
 		}
 		syncFamily(full, fresh, sh.dFreq, vc.uFreq, vc.cpF, res.st.FreqCounts, sh.st.FreqCounts, base.st.FreqCounts)
 		syncFamily(full, fresh, sh.dJoint, vc.uJoint, vc.cpJ, res.st.JointCounts, sh.st.JointCounts, base.st.JointCounts)
-		if sh.rangeAcc != nil {
-			if full {
-				for li := 0; li < p.lvlSlots; li++ {
-					sh.rangeAcc.SyncDeltaLevel(li, base.rng, vc.aggRange)
-				}
-				for g := 0; g < p.gridSlots; g++ {
-					sh.rangeAcc.SyncDeltaGrid(g, base.rng, vc.aggRange)
-				}
-			} else {
-				acc := sh.rangeAcc
-				sh.dLevel.forEach(func(li int) {
-					vc.uLevel.set(li)
-					acc.SyncDeltaLevel(li, base.rng, vc.aggRange)
-				})
-				sh.dGrid.forEach(func(g int) {
-					vc.uGrid.set(g)
-					acc.SyncDeltaGrid(g, base.rng, vc.aggRange)
-				})
-			}
-			// Unconditional: a report can move a reporter count without
-			// moving any support count.
-			sh.rangeAcc.SyncDeltaN(base.rng, vc.aggRange)
+		if rs := sh.st.Range; rs != nil {
+			br := base.st.Range
+			syncSlots(full, sh.dLevel, vc.uLevel, vc.aggRange.Levels, rs.Levels, br.Levels)
+			syncSlots(full, sh.dGrid, vc.uGrid, vc.aggRange.Grids, rs.Grids, br.Grids)
+			// Unconditional: a merged state can move the report count
+			// without moving any column.
+			vc.aggRange.N += rs.N - br.N
+			br.N = rs.N
 		}
 		sh.dFreq.zero()
 		sh.dJoint.zero()
@@ -431,14 +415,14 @@ func (p *Pipeline) buildSync(prev *Result, full bool) *Result {
 	if vc.aggRange != nil {
 		switch {
 		case full || prev.rangeView == nil:
-			res.rangeView = vc.aggRange.View()
-		case !vc.uLevel.any() && !vc.uGrid.any() && vc.aggRange.N() == rangeNBefore:
+			res.rangeView = p.rangeT.col.View(vc.aggRange)
+		case !vc.uLevel.any() && !vc.uGrid.any() && vc.aggRange.N == rangeNBefore:
 			// Not a single range report arrived since the previous view
 			// (every range fold bumps the reporter count), so the previous
 			// range view is exact as-is — no per-slot walk, no allocation.
 			res.rangeView = prev.rangeView
 		default:
-			res.rangeView = vc.aggRange.RebuildView(prev.rangeView, vc.uLevel.get, vc.uGrid.get)
+			res.rangeView = p.rangeT.col.RebuildView(prev.rangeView, vc.aggRange, vc.uLevel.get, vc.uGrid.get)
 		}
 	}
 	if !full {
@@ -466,41 +450,73 @@ func (p *Pipeline) buildSync(prev *Result, full bool) *Result {
 }
 
 // syncFamily folds one shard's count-column deltas for one oracle family
-// into the result and advances the shard's baselines to match. In full
-// mode every registered column syncs regardless of dirty bits; otherwise
-// only the shard's dirty columns do, and their attributes accumulate into
-// the build's union set (union bits gate debias-cache forwarding, so they
-// are set for every event-dirty column even when its count delta turns
-// out to be zero — the reporter count still moved). A result column still
-// aliasing the previous view is copied before its first change. The
-// caller holds the shard lock.
+// into the result and advances the shard's baselines to match (syncCols
+// picks the columns). A result column still aliasing the previous view is
+// copied before its first change. The caller holds the shard lock.
 func syncFamily(full, fresh bool, dirty, union, copied bitset, resCols, shCols, baseCols [][]float64) {
-	sync := func(j int) {
-		cur := shCols[j]
-		if cur == nil {
+	syncCols(full, len(shCols), dirty, union, func(j int) {
+		if shCols[j] == nil {
 			return
 		}
-		base, dst := baseCols[j], resCols[j]
-		for v, c := range cur {
-			if delta := c - base[v]; delta != 0 {
-				if !fresh && !copied.get(j) {
-					dst = append([]float64(nil), dst...)
-					resCols[j] = dst
-					copied.set(j)
-				}
-				dst[v] += delta
-				base[v] = c
-			}
+		cow := !fresh && !copied.get(j)
+		if dst, moved := syncCol(resCols[j], baseCols[j], shCols[j], cow); moved && cow {
+			resCols[j] = dst
+			copied.set(j)
 		}
-	}
+	})
+}
+
+// syncSlots is syncFamily for the range columns: it folds one shard's
+// level or grid deltas, reporter counts included, into the builder's
+// running sum in place (views copy their slots out of it, so nothing
+// aliases it) and advances the shard's baselines to match. The caller
+// holds the shard lock.
+func syncSlots(full bool, dirty, union bitset, dst, cur, base []rangequery.CountState) {
+	syncCols(full, len(cur), dirty, union, func(i int) {
+		syncCol(dst[i].Counts, base[i].Counts, cur[i].Counts, false)
+		dst[i].N += cur[i].N - base[i].N
+		base[i].N = cur[i].N
+	})
+}
+
+// syncCols calls sync for each column of one family that a build syncs:
+// all n of them in full mode, otherwise only the shard's dirty ones, which
+// accumulate into the build's union set. Union bits gate debias-cache
+// forwarding and range-slot copies, so they are set for every event-dirty
+// column even when its count delta turns out to be zero — the reporter
+// count still moved.
+func syncCols(full bool, n int, dirty, union bitset, sync func(int)) {
 	if full {
-		for j := range shCols {
-			sync(j)
+		for i := 0; i < n; i++ {
+			sync(i)
 		}
 		return
 	}
-	dirty.forEach(func(j int) {
-		union.set(j)
-		sync(j)
+	dirty.forEach(func(i int) {
+		union.set(i)
+		sync(i)
 	})
+}
+
+// syncCol adds the delta cur - base of one count column into dst and
+// advances base to match cur, touching only the entries that moved, so
+// its cost beyond the scan is proportional to the delta's support. With
+// cow set, dst is copied before its first write (it may still alias a
+// published view). It returns the column written to and whether any
+// entry moved. Support counts are integer-valued float64 sums of 0/1
+// indicators, so the delta arithmetic is exact: after any interleaving of
+// syncs, dst holds the same bits as a direct sum of the shards.
+func syncCol(dst, base, cur []float64, cow bool) ([]float64, bool) {
+	moved := false
+	for v, c := range cur {
+		if delta := c - base[v]; delta != 0 {
+			if cow && !moved {
+				dst = append([]float64(nil), dst...)
+			}
+			moved = true
+			dst[v] += delta
+			base[v] = c
+		}
+	}
+	return dst, moved
 }

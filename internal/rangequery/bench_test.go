@@ -41,11 +41,8 @@ var (
 
 func setupBench(b *testing.B) *benchState {
 	benchOnce.Do(func() {
-		hier, err := NewHierCollector(benchEps, benchBuckets, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hierEst := NewHierEstimator(hier)
+		col := hierCollector(b, benchEps, benchBuckets)
+		hier, hierSt := col.Hierarchy(), col.NewState()
 		flatOracle, err := freq.NewOUE(benchEps, benchBuckets)
 		if err != nil {
 			b.Fatal(err)
@@ -58,9 +55,8 @@ func setupBench(b *testing.B) *benchState {
 			r := rng.NewStream(2024, uint64(i))
 			bucket := bucketOf(rng.TruncGauss(r, 0.2, 0.4, -1, 1), benchBuckets)
 			truth[bucket]++
-			if err := hierEst.Add(hier.Perturb(bucket, r)); err != nil {
-				b.Fatal(err)
-			}
+			hr := hier.Perturb(bucket, r)
+			col.Fold(hierSt, Report{Kind: KindHier, Depth: hr.Depth, Resp: hr.Resp})
 			flatEst.Add(flatOracle.Perturb(bucket, r))
 		}
 		for i := range truth {
@@ -76,7 +72,7 @@ func setupBench(b *testing.B) *benchState {
 			}
 		}
 		st := benchState{
-			view:    hierEst.View(),
+			view:    col.View(hierSt).Hier(0),
 			flat:    flatEst.Estimates(),
 			truth:   truth,
 			queries: queries,

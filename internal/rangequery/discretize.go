@@ -16,7 +16,7 @@ import (
 //
 // Categorical attributes pass through with their natural cardinality; the
 // derived all-categorical schema (Schema) is the domain contract the
-// range-query collector, wire format and estimators agree on, mirroring
+// range-query collector, wire format and count columns agree on, mirroring
 // the role schema.Schema plays for the mean/frequency pipeline.
 type Discretizer struct {
 	src     *schema.Schema

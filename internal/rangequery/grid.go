@@ -9,7 +9,7 @@ import (
 	"ldp/internal/rng"
 )
 
-// The 2-D grid estimator answers conjunctive range queries over a pair of
+// The 2-D grid answers conjunctive range queries over a pair of
 // numeric attributes (Yang et al.'s two-dimensional grids, TDG): the unit
 // square [-1,1]^2 is tiled by a uniform g x g grid, each user reports the
 // cell containing their pair of values through a frequency oracle over the
@@ -72,56 +72,7 @@ func (c *GridCollector) Check(resp freq.Response) error {
 	return checkResponse(resp, c.cells*c.cells, c.bits)
 }
 
-// GridEstimator aggregates cell reports into a consistent joint histogram
-// and answers rectangle queries. It is not safe for concurrent use; use
-// one per goroutine and Merge.
-type GridEstimator struct {
-	col   *GridCollector
-	inner *freq.Estimator
-}
-
-// NewGridEstimator creates an estimator bound to the collector's oracle.
-func NewGridEstimator(c *GridCollector) *GridEstimator {
-	return &GridEstimator{col: c, inner: freq.NewEstimator(c.oracle)}
-}
-
-// Add folds one response in, rejecting responses whose shape does not
-// match the oracle.
-func (e *GridEstimator) Add(resp freq.Response) error {
-	if err := e.col.Check(resp); err != nil {
-		return err
-	}
-	e.inner.Add(resp)
-	return nil
-}
-
-// Merge combines another estimator built from the same collector.
-func (e *GridEstimator) Merge(o *GridEstimator) { e.inner.Merge(o.inner) }
-
-// N returns the number of responses aggregated.
-func (e *GridEstimator) N() int64 { return e.inner.N() }
-
-// Joint returns the consistent joint cell histogram: the debiased g^2
-// frequency estimates post-processed with Norm-Sub, so every entry is
-// non-negative and the total is exactly one. Index as [cx*g + cy].
-func (e *GridEstimator) Joint() []float64 {
-	return hist.NormSub(e.inner.Estimates())
-}
-
-// RectMass estimates the population mass of the rectangle
-// [xlo, xhi] x [ylo, yhi] from the consistent joint histogram; cells
-// partially covered contribute proportionally to their overlap area.
-func (e *GridEstimator) RectMass(xlo, xhi, ylo, yhi float64) float64 {
-	return rectMass(e.Joint(), e.col.cells, xlo, xhi, ylo, yhi)
-}
-
-// View snapshots the support counts into an immutable grid view; the
-// consistent joint histogram is derived on the view's first read.
-func (e *GridEstimator) View() *GridView {
-	return &GridView{cells: e.col.cells, s: newSlot(e.col.oracle, e.inner)}
-}
-
-// GridView is an immutable snapshot of a GridEstimator's support counts.
+// GridView is an immutable snapshot of one pair grid's support counts.
 // Its Norm-Sub-consistent joint cell histogram is derived on the first
 // read and shared by every later one, which is then a lookup loop with no
 // allocation. It is safe for concurrent use.
@@ -133,7 +84,8 @@ type GridView struct {
 // Cells returns the per-axis resolution g.
 func (v *GridView) Cells() int { return v.cells }
 
-// Joint returns a copy of the consistent joint cell histogram.
+// Joint returns a copy of the consistent joint cell histogram, indexed
+// [cx*g + cy]: every entry is non-negative and the total is one.
 func (v *GridView) Joint() []float64 {
 	return append([]float64(nil), v.s.derived(consistent)...)
 }
@@ -145,8 +97,7 @@ func (v *GridView) RectMass(xlo, xhi, ylo, yhi float64) float64 {
 }
 
 // consistent derives a grid's joint histogram: the debiased cell
-// estimates post-processed with Norm-Sub, the arithmetic of
-// GridEstimator.Joint.
+// estimates post-processed with Norm-Sub.
 func consistent(c freq.DebiasView) []float64 { return hist.NormSub(debias(c)) }
 
 // rectMass integrates the joint histogram over a clamped query rectangle;

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ldp/internal/rng"
+	"ldp/internal/schema"
 )
 
 func TestGridCollectorConstruction(t *testing.T) {
@@ -47,24 +48,46 @@ func TestCellOf(t *testing.T) {
 	}
 }
 
-// gridRun simulates n users with correlated coordinates, returning the
-// estimator and the empirical cell histogram of the population.
-func gridRun(t *testing.T, c *GridCollector, n int, seed uint64) (*GridEstimator, []float64) {
+// gridCollector builds a range collector over two numeric attributes
+// that routes every user to the one pair's g x g grid: the grid oracle on
+// its own, its reports folded into grid column 0.
+func gridCollector(t testing.TB, eps float64, cells int) *Collector {
 	t.Helper()
-	est := NewGridEstimator(c)
-	g := c.Cells()
+	s, err := schema.New(
+		schema.Attribute{Name: "x", Kind: schema.Numeric},
+		schema.Attribute{Name: "y", Kind: schema.Numeric},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCollector(s, eps, Config{Buckets: 2, GridCells: cells, GridFraction: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// gridRun simulates n users with correlated coordinates through the grid
+// randomizer, folding their reports into st, and returns the empirical
+// cell histogram of the population.
+func gridRun(t *testing.T, c *Collector, st *AccState, n int, seed uint64) []float64 {
+	t.Helper()
+	gc := c.Grid()
+	g := gc.Cells()
 	truth := make([]float64, g*g)
 	for i := 0; i < n; i++ {
 		r := rng.NewStream(seed, uint64(i))
 		x := rng.TruncGauss(r, 0.3, 0.35, -1, 1)
 		y := mechClamp(x/2 + 0.3*r.NormFloat64())
-		truth[c.CellOf(x, y)]++
-		est.Add(c.Perturb(x, y, r))
+		truth[gc.CellOf(x, y)]++
+		if err := add(c, st, Report{Kind: KindGrid, Resp: gc.Perturb(x, y, r)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := range truth {
 		truth[i] /= float64(n)
 	}
-	return est, truth
+	return truth
 }
 
 func mechClamp(v float64) float64 {
@@ -81,13 +104,11 @@ func mechClamp(v float64) float64 {
 // grid answers are non-negative and the joint sums to at most one —
 // Norm-Sub in fact normalizes it to exactly one.
 func TestGridJointConsistent(t *testing.T) {
-	c, err := NewGridCollector(1, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := gridCollector(t, 1, 8)
 	for _, n := range []int{0, 10, 5000} {
-		est, _ := gridRun(t, c, n, 99)
-		joint := est.Joint()
+		st := c.NewState()
+		gridRun(t, c, st, n, 99)
+		joint := c.View(st).GridFor(0).Joint()
 		sum := 0.0
 		for i, f := range joint {
 			if f < 0 {
@@ -109,12 +130,11 @@ func TestGridRectMassAccuracy(t *testing.T) {
 		eps = 1.0
 		n   = 50_000
 	)
-	c, err := NewGridCollector(eps, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, truth := gridRun(t, c, n, 3)
-	g := c.Cells()
+	c := gridCollector(t, eps, 8)
+	st := c.NewState()
+	truth := gridRun(t, c, st, n, 3)
+	est := c.View(st).GridFor(0)
+	g := est.Cells()
 	// Cell-aligned rectangle: x cells [4,6], y cells [3,5].
 	trueMass := 0.0
 	for cx := 4; cx <= 6; cx++ {
@@ -134,11 +154,8 @@ func TestGridRectMassAccuracy(t *testing.T) {
 }
 
 func TestGridRectMassEdgeCases(t *testing.T) {
-	c, err := NewGridCollector(1, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := NewGridEstimator(c)
+	c := gridCollector(t, 1, 4)
+	est := c.View(c.NewState()).GridFor(0)
 	if m := est.RectMass(0.5, -0.5, -1, 1); m != 0 {
 		t.Errorf("inverted x range: mass %v, want 0", m)
 	}
@@ -147,15 +164,18 @@ func TestGridRectMassEdgeCases(t *testing.T) {
 	}
 }
 
+// TestGridMerge: the sum of two folded states answers exactly like one
+// state that folded both populations.
 func TestGridMerge(t *testing.T) {
-	c, err := NewGridCollector(1, 4, nil)
-	if err != nil {
-		t.Fatal(err)
+	c := gridCollector(t, 1, 4)
+	a, b, whole := c.NewState(), c.NewState(), c.NewState()
+	gridRun(t, c, a, 500, 1)
+	gridRun(t, c, b, 700, 2)
+	gridRun(t, c, whole, 500, 1)
+	gridRun(t, c, whole, 700, 2)
+	merged := sumStates(a, b)
+	if merged.N != 1200 || merged.Grids[0].N != 1200 {
+		t.Errorf("merged N = %d (grid %d), want 1200", merged.N, merged.Grids[0].N)
 	}
-	a, _ := gridRun(t, c, 500, 1)
-	b, _ := gridRun(t, c, 700, 2)
-	a.Merge(b)
-	if a.N() != 1200 {
-		t.Errorf("merged N = %d, want 1200", a.N())
-	}
+	assertViewsIdentical(t, c.View(merged), c.View(whole))
 }

@@ -147,38 +147,12 @@ func (c *HierCollector) Check(rep HierReport) error {
 	return checkResponse(rep.Resp, 1<<rep.Depth, c.bits)
 }
 
-// HierEstimator aggregates hierarchical reports and answers range queries
-// by dyadic decomposition. It is not safe for concurrent use; use one per
-// goroutine and Merge.
-type HierEstimator struct {
-	col    *HierCollector
-	levels []*freq.Estimator
-}
-
-// NewHierEstimator creates an estimator bound to the collector's oracles.
-func NewHierEstimator(c *HierCollector) *HierEstimator {
-	levels := make([]*freq.Estimator, c.depths)
-	for i, o := range c.oracles {
-		levels[i] = freq.NewEstimator(o)
-	}
-	return &HierEstimator{col: c, levels: levels}
-}
-
-// Add folds one report in.
-func (e *HierEstimator) Add(rep HierReport) error {
-	if err := e.col.Check(rep); err != nil {
-		return err
-	}
-	e.levels[rep.Depth-1].Add(rep.Resp)
-	return nil
-}
-
-// checkResponse guards the estimators against responses whose shape does
-// not match the oracle — decoded network frames are attacker-controlled:
-// an undersized bitset would panic deep inside freq.Estimator.Add, a
-// bitset folded into a value-type (GRR) estimator would poison every
-// domain value from one report, and an out-of-range value would silently
-// skew the reporter count.
+// checkResponse guards the count columns against responses whose shape
+// does not match the oracle — decoded network frames are attacker-
+// controlled: an out-of-range value would panic inside Collector.Fold, a
+// bitset of another width would fold as another domain's response, and a
+// bitset folded into a value-type (GRR) column would poison every domain
+// value from one report.
 func checkResponse(resp freq.Response, cardinality int, wantBits bool) error {
 	if wantBits {
 		if resp.Bits == nil {
@@ -199,95 +173,7 @@ func checkResponse(resp freq.Response, cardinality int, wantBits bool) error {
 	return nil
 }
 
-// Merge combines another estimator built from the same collector.
-func (e *HierEstimator) Merge(o *HierEstimator) {
-	for i := range e.levels {
-		e.levels[i].Merge(o.levels[i])
-	}
-}
-
-// N returns the number of reports aggregated across all depths.
-func (e *HierEstimator) N() int64 {
-	var n int64
-	for _, l := range e.levels {
-		n += l.N()
-	}
-	return n
-}
-
-// NodeEstimate returns the debiased frequency estimate of one dyadic node,
-// computed from the users that sampled its depth.
-func (e *HierEstimator) NodeEstimate(n Node) float64 {
-	return e.levels[n.Depth-1].Estimates()[n.Index]
-}
-
-// SpanMass estimates the population mass of the inclusive bucket range
-// [lo, hi] by summing its canonical cover's node estimates, clamped into
-// [0, 1]. The estimate before clamping is unbiased; its variance is the
-// sum of at most 2*log2(B) node variances.
-func (e *HierEstimator) SpanMass(lo, hi int) (float64, error) {
-	nodes, err := Decompose(e.col.buckets, lo, hi)
-	if err != nil {
-		return 0, err
-	}
-	mass := 0.0
-	// One Estimates() call per touched depth, not per node.
-	byDepth := map[int][]float64{}
-	for _, n := range nodes {
-		est, ok := byDepth[n.Depth]
-		if !ok {
-			est = e.levels[n.Depth-1].Estimates()
-			byDepth[n.Depth] = est
-		}
-		mass += est[n.Index]
-	}
-	if mass < 0 {
-		mass = 0
-	}
-	if mass > 1 {
-		mass = 1
-	}
-	return mass, nil
-}
-
-// Histogram returns the debiased leaf-level (depth log2 B) frequency
-// estimates: the flat-domain view of the hierarchy, as a baseline and for
-// consistency post-processing.
-func (e *HierEstimator) Histogram() []float64 {
-	return e.levels[len(e.levels)-1].Estimates()
-}
-
-// View snapshots every depth's support counts into an immutable view; no
-// depth is derived until a query reads it, and each depth then debiases
-// once for every later read.
-func (e *HierEstimator) View() *HierView { return e.rebuildView(nil, nil) }
-
-// rebuildView is View with prev's depths carried over wherever dirty
-// (0-based depth) reports no change, derived estimates included; with no
-// dirty depth it returns prev itself. A nil prev copies every depth. prev
-// must come from an estimator of the same collector.
-func (e *HierEstimator) rebuildView(prev *HierView, dirty func(d int) bool) *HierView {
-	if prev != nil {
-		d := 0
-		for d < len(e.levels) && !dirty(d) {
-			d++
-		}
-		if d == len(e.levels) {
-			return prev
-		}
-	}
-	v := &HierView{buckets: e.col.buckets, levels: make([]*slot, len(e.levels))}
-	for d, l := range e.levels {
-		if prev != nil && !dirty(d) {
-			v.levels[d] = prev.levels[d]
-		} else {
-			v.levels[d] = newSlot(e.col.oracles[d], l)
-		}
-	}
-	return v
-}
-
-// HierView is an immutable snapshot of a HierEstimator's per-depth support
+// HierView is an immutable snapshot of one attribute's per-depth support
 // counts. Each depth debiases on the first read that touches one of its
 // nodes and is a lookup afterwards. It is safe for concurrent use.
 type HierView struct {
@@ -302,11 +188,6 @@ func (v *HierView) depth(l int) []float64 { return v.levels[l-1].derived(debias)
 // debias derives one depth's estimates: every node's debiased frequency,
 // the arithmetic of freq.Estimator.Estimates.
 func debias(c freq.DebiasView) []float64 { return c.AppendEstimates(make([]float64, 0, c.Len())) }
-
-// NodeEstimate returns the snapshotted estimate of one dyadic node.
-func (v *HierView) NodeEstimate(n Node) float64 {
-	return v.depth(n.Depth)[n.Index]
-}
 
 // SpanMass answers the inclusive bucket range [lo, hi] from the snapshot
 // in O(log B) time, clamped into [0, 1]. It walks the canonical dyadic

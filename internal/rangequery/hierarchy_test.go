@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ldp/internal/rng"
+	"ldp/internal/schema"
 )
 
 // TestDecomposeExhaustive checks, for every bucket range of several
@@ -109,39 +110,55 @@ func TestHierPerturbDepthsAndClamping(t *testing.T) {
 }
 
 func TestHierEstimatorRejectsBadDepth(t *testing.T) {
-	c, err := NewHierCollector(1, 16, nil)
-	if err != nil {
-		t.Fatal(err)
+	c := hierCollector(t, 1, 16)
+	st := c.NewState()
+	for _, depth := range []int{0, 5} {
+		if err := add(c, st, Report{Kind: KindHier, Depth: depth}); err == nil {
+			t.Errorf("want error for depth %d outside [1,4]", depth)
+		}
 	}
-	e := NewHierEstimator(c)
-	if err := e.Add(HierReport{Depth: 0}); err == nil {
-		t.Error("want error for depth 0")
-	}
-	if err := e.Add(HierReport{Depth: 5}); err == nil {
-		t.Error("want error for depth past log2(B)")
+	if st.N != 0 {
+		t.Errorf("rejected reports must not count: N = %d", st.N)
 	}
 }
 
-// hierRun simulates n users drawn from a fixed synthetic distribution,
-// returning the estimator and the empirical bucket histogram of the
-// population it actually saw.
-func hierRun(t *testing.T, c *HierCollector, n int, seed uint64) (*HierEstimator, []float64) {
+// hierCollector builds a range collector over one numeric attribute with
+// grids disabled: the hierarchical interval oracle on its own, its reports
+// folded into the level columns of attribute 0.
+func hierCollector(t testing.TB, eps float64, buckets int) *Collector {
 	t.Helper()
-	est := NewHierEstimator(c)
-	truth := make([]float64, c.Buckets())
+	s, err := schema.New(schema.Attribute{Name: "x", Kind: schema.Numeric})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCollector(s, eps, Config{Buckets: buckets, GridFraction: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// hierRun simulates n users drawn from a fixed synthetic distribution
+// through the hierarchy's randomizer, folding their reports into st, and
+// returns the empirical bucket histogram of the population it saw.
+func hierRun(t *testing.T, c *Collector, st *AccState, n int, seed uint64) []float64 {
+	t.Helper()
+	h := c.Hierarchy()
+	truth := make([]float64, h.Buckets())
 	for i := 0; i < n; i++ {
 		r := rng.NewStream(seed, uint64(i))
 		v := rng.TruncGauss(r, 0.2, 0.4, -1, 1)
-		b := bucketOf(v, c.Buckets())
+		b := bucketOf(v, h.Buckets())
 		truth[b]++
-		if err := est.Add(c.Perturb(b, r)); err != nil {
+		hr := h.Perturb(b, r)
+		if err := add(c, st, Report{Kind: KindHier, Depth: hr.Depth, Resp: hr.Resp}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for b := range truth {
 		truth[b] /= float64(n)
 	}
-	return est, truth
+	return truth
 }
 
 func spanTruth(truth []float64, lo, hi int) float64 {
@@ -162,15 +179,13 @@ func TestHierUnbiased(t *testing.T) {
 		n    = 20_000
 		runs = 25
 	)
-	c, err := NewHierCollector(eps, B, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := hierCollector(t, eps, B)
 	lo, hi := 10, 41 // unaligned span: exercises a deep decomposition
 	var meanEst, meanTruth float64
 	for run := 0; run < runs; run++ {
-		est, truth := hierRun(t, c, n, uint64(1000+run))
-		got, err := est.SpanMass(lo, hi)
+		st := c.NewState()
+		truth := hierRun(t, c, st, n, uint64(1000+run))
+		got, err := c.View(st).Hier(0).SpanMass(lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,17 +211,16 @@ func TestHierMSEShrinksWithN(t *testing.T) {
 		B    = 64
 		runs = 6
 	)
-	c, err := NewHierCollector(eps, B, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := hierCollector(t, eps, B)
 	queries := [][2]int{{0, 31}, {5, 20}, {13, 50}, {32, 63}, {7, 56}}
 	mse := func(n int, seedBase uint64) float64 {
 		sum := 0.0
 		for run := 0; run < runs; run++ {
-			est, truth := hierRun(t, c, n, seedBase+uint64(run))
+			st := c.NewState()
+			truth := hierRun(t, c, st, n, seedBase+uint64(run))
+			view := c.View(st).Hier(0)
 			for _, q := range queries {
-				got, err := est.SpanMass(q[0], q[1])
+				got, err := view.SpanMass(q[0], q[1])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -223,15 +237,23 @@ func TestHierMSEShrinksWithN(t *testing.T) {
 	}
 }
 
+// TestHierViewMatchesEstimator pins a hierarchy view against the eager
+// reference estimators fed the same reports.
 func TestHierViewMatchesEstimator(t *testing.T) {
-	c, err := NewHierCollector(1, 32, nil)
-	if err != nil {
-		t.Fatal(err)
+	c := hierCollector(t, 1, 32)
+	st, ref := c.NewState(), newRefAcc(c)
+	r := rng.New(42)
+	for i := 0; i < 2000; i++ {
+		hr := c.Hierarchy().Perturb(r.IntN(32), r)
+		rep := Report{Kind: KindHier, Depth: hr.Depth, Resp: hr.Resp}
+		if err := add(c, st, rep); err != nil {
+			t.Fatal(err)
+		}
+		ref.add(rep)
 	}
-	est, _ := hierRun(t, c, 2000, 42)
-	view := est.View()
+	view := c.View(st).Hier(0)
 	for _, q := range [][2]int{{0, 31}, {3, 17}, {8, 8}, {16, 31}} {
-		a, err := est.SpanMass(q[0], q[1])
+		a, err := ref.spanMass(0, q[0], q[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,28 +267,27 @@ func TestHierViewMatchesEstimator(t *testing.T) {
 	}
 }
 
+// TestHierMerge: the sum of two folded states answers every depth
+// exactly like one state that folded both populations.
 func TestHierMerge(t *testing.T) {
-	c, err := NewHierCollector(1, 16, nil)
-	if err != nil {
-		t.Fatal(err)
+	c := hierCollector(t, 1, 16)
+	a, b, whole := c.NewState(), c.NewState(), c.NewState()
+	hierRun(t, c, a, 1000, 1)
+	hierRun(t, c, b, 1000, 2)
+	hierRun(t, c, whole, 1000, 1)
+	hierRun(t, c, whole, 1000, 2)
+	merged := sumStates(a, b)
+	if merged.N != a.N+b.N || merged.N != 2000 {
+		t.Errorf("merged N = %d, want %d", merged.N, a.N+b.N)
 	}
-	a, _ := hierRun(t, c, 1000, 1)
-	b, _ := hierRun(t, c, 1000, 2)
-	whole := NewHierEstimator(c)
-	whole.Merge(a)
-	whole.Merge(b)
-	if whole.N() != a.N()+b.N() {
-		t.Errorf("merged N = %d, want %d", whole.N(), a.N()+b.N())
-	}
+	assertViewsIdentical(t, c.View(merged), c.View(whole))
 }
 
 func TestHierFullDomainNearOne(t *testing.T) {
-	c, err := NewHierCollector(1, 64, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, _ := hierRun(t, c, 30_000, 77)
-	got, err := est.SpanMass(0, 63)
+	c := hierCollector(t, 1, 64)
+	st := c.NewState()
+	hierRun(t, c, st, 30_000, 77)
+	got, err := c.View(st).Hier(0).SpanMass(0, 63)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,12 @@
 package rangequery
 
-import "ldp/internal/freq"
-
 // Incremental view maintenance support. The sharded pipeline keeps, per
 // shard, dirty bits over a flat slot space of range-query components —
 // one slot per (numeric attribute, hierarchy depth) pair and one per 2-D
 // grid — so that a view rebuild copies only the slots whose support counts
 // actually changed since the previous view. The slot layout is attribute-
-// major and mirrors AccState.Levels: slot numPos[attr]*Depths() + depth-1
-// for hierarchy levels, and the pair index for grids.
+// major and is AccState's own: Levels[numPos[attr]*Depths() + depth-1]
+// for hierarchy levels, and Grids[pair] for grids.
 
 // LevelSlots returns the size of the flat hierarchy-level slot space:
 // one slot per (numeric attribute, depth) pair.
@@ -34,63 +32,59 @@ func (c *Collector) LevelIndex(attr, depth int) int {
 	return c.numPos[attr]*c.hier.depths + depth - 1
 }
 
-// SyncDeltaLevel folds the support-count delta of one hierarchy level slot
-// (a's counts minus base's) into agg and advances base to match a: the
-// shard-side half of an incremental rebuild. All three accumulators must
-// share a's collector; the caller must exclude concurrent folds into a.
-func (a *Accumulator) SyncDeltaLevel(li int, base, agg *Accumulator) {
-	depths := a.col.hier.depths
-	attr := a.col.numeric[li/depths]
-	d := li % depths
-	freq.SyncDelta(a.hier[attr].levels[d], base.hier[attr].levels[d], agg.hier[attr].levels[d])
-}
-
-// SyncDeltaGrid folds the support-count delta of one 2-D grid slot into
-// agg and advances base to match a; see SyncDeltaLevel.
-func (a *Accumulator) SyncDeltaGrid(p int, base, agg *Accumulator) {
-	freq.SyncDelta(a.grids[p].inner, base.grids[p].inner, agg.grids[p].inner)
-}
-
-// SyncDeltaN folds the report-count delta into agg and advances base to
-// match a. Unlike the per-slot syncs it is unconditional: a report can
-// change an oracle's reporter count without touching any support count
-// (an all-zero OUE bitset), so n is synced on every rebuild regardless of
-// dirty bits.
-func (a *Accumulator) SyncDeltaN(base, agg *Accumulator) {
-	if d := a.n - base.n; d != 0 {
-		agg.n += d
-		base.n = a.n
-	}
-}
-
-// RebuildView builds a query view of the accumulator that copies the
-// counts of only the slots the dirty predicates flag and carries every
-// other slot over from prev as it stands, with its estimate if a read has
-// already derived it. A hierarchy with no dirty depth is carried whole.
-// The copy is proportional to the ingest delta's footprint, and no slot is
-// derived until a query reads it. A nil prev copies every slot (the
-// predicates are then ignored). The caller must exclude concurrent folds
-// for the duration of the call and must pass predicates consistent with
-// the accumulator's actual changes since prev — a slot reported clean is
-// served from prev verbatim.
-func (a *Accumulator) RebuildView(prev *View, dirtyLevel, dirtyGrid func(int) bool) *View {
-	depths := a.col.hier.depths
-	v := &View{col: a.col, n: a.n, hier: make([]*HierView, a.col.disc.src.Dim())}
-	for pos, attr := range a.col.numeric {
+// RebuildView builds a query view of st that copies the counts of only
+// the slots the dirty predicates flag and carries every other slot over
+// from prev as it stands, with its estimate if a read has already derived
+// it. A hierarchy with no dirty depth is carried whole. The copy is
+// proportional to the ingest delta's footprint, and no slot is derived
+// until a query reads it. A nil prev copies every slot (the predicates
+// are then ignored). The caller must exclude concurrent folds into st for
+// the duration of the call and must pass predicates consistent with st's
+// actual changes since prev was built — a slot reported clean is served
+// from prev verbatim.
+func (c *Collector) RebuildView(prev *View, st *AccState, dirtyLevel, dirtyGrid func(int) bool) *View {
+	v := &View{col: c, n: st.N, hier: make([]*HierView, c.disc.src.Dim())}
+	for pos, attr := range c.numeric {
 		var pv *HierView
 		if prev != nil {
 			pv = prev.hier[attr]
 		}
-		v.hier[attr] = a.hier[attr].rebuildView(pv, func(d int) bool { return dirtyLevel(pos*depths + d) })
+		v.hier[attr] = c.rebuildHier(pv, st, pos*c.hier.depths, dirtyLevel)
 	}
-	if a.grids != nil {
-		v.grids = make([]*GridView, len(a.grids))
-		for p, g := range a.grids {
+	if c.grid != nil {
+		v.grids = make([]*GridView, len(st.Grids))
+		for p := range st.Grids {
 			if prev != nil && !dirtyGrid(p) {
 				v.grids[p] = prev.grids[p]
 			} else {
-				v.grids[p] = g.View()
+				v.grids[p] = &GridView{cells: c.grid.cells, s: newSlot(c.grid.oracle, &st.Grids[p])}
 			}
+		}
+	}
+	return v
+}
+
+// rebuildHier is RebuildView for the hierarchy whose level slots start at
+// flat index base: prev's depths carry over wherever dirtyLevel reports
+// no change, and with no dirty depth prev itself is returned. A nil prev
+// copies every depth.
+func (c *Collector) rebuildHier(prev *HierView, st *AccState, base int, dirtyLevel func(int) bool) *HierView {
+	depths := c.hier.depths
+	if prev != nil {
+		d := 0
+		for d < depths && !dirtyLevel(base+d) {
+			d++
+		}
+		if d == depths {
+			return prev
+		}
+	}
+	v := &HierView{buckets: c.hier.buckets, levels: make([]*slot, depths)}
+	for d := range v.levels {
+		if prev != nil && !dirtyLevel(base+d) {
+			v.levels[d] = prev.levels[d]
+		} else {
+			v.levels[d] = newSlot(c.hier.oracles[d], &st.Levels[base+d])
 		}
 	}
 	return v

@@ -3,7 +3,6 @@ package rangequery
 import (
 	"testing"
 
-	"ldp/internal/freq"
 	"ldp/internal/rng"
 	"ldp/internal/schema"
 )
@@ -54,12 +53,12 @@ func TestLevelSlotMapping(t *testing.T) {
 	}
 }
 
-// foldTracked folds n randomized reports into acc and records which
+// foldTracked folds n randomized reports into st and records which
 // level/grid slots they touched — the same event-driven marking the
-// pipeline's shards do.
-func foldTracked(t *testing.T, acc *Accumulator, r *rng.Rand, n int, dLevel, dGrid map[int]bool) {
+// pipeline's shards do, from the column index Fold returns, which must be
+// the report's LevelIndex or pair.
+func foldTracked(t *testing.T, col *Collector, st *AccState, r *rng.Rand, n int, dLevel, dGrid map[int]bool) {
 	t.Helper()
-	col := acc.Collector()
 	tup := schema.NewTuple(col.Schema())
 	for i := 0; i < n; i++ {
 		tup.Num[0] = rng.Uniform(r, -1, 1)
@@ -68,103 +67,20 @@ func foldTracked(t *testing.T, acc *Accumulator, r *rng.Rand, n int, dLevel, dGr
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := acc.Add(rep); err != nil {
+		if err := col.Validate(rep); err != nil {
 			t.Fatal(err)
 		}
+		slot := col.Fold(st, rep)
 		if rep.Kind == KindHier {
-			dLevel[col.LevelIndex(rep.Attr, rep.Depth)] = true
+			if want := col.LevelIndex(rep.Attr, rep.Depth); slot != want {
+				t.Fatalf("Fold of attr %d depth %d returned slot %d, want %d", rep.Attr, rep.Depth, slot, want)
+			}
+			dLevel[slot] = true
 		} else {
-			dGrid[rep.Pair] = true
-		}
-	}
-}
-
-// assertAccCountsIdentical compares two accumulators' raw support and
-// reporter counts bit for bit across every level and grid slot.
-func assertAccCountsIdentical(t *testing.T, got, want *Accumulator) {
-	t.Helper()
-	if got.N() != want.N() {
-		t.Fatalf("N: got %d, want %d", got.N(), want.N())
-	}
-	depths := want.col.hier.depths
-	for _, attr := range want.col.numeric {
-		for d := 0; d < depths; d++ {
-			ge, we := got.hier[attr].levels[d], want.hier[attr].levels[d]
-			if ge.N() != we.N() {
-				t.Fatalf("attr %d depth %d: n %d != %d", attr, d+1, ge.N(), we.N())
+			if slot != rep.Pair {
+				t.Fatalf("Fold of pair %d returned %d", rep.Pair, slot)
 			}
-			gc, wc := ge.Counts(), we.Counts()
-			for i := range wc {
-				if gc[i] != wc[i] {
-					t.Fatalf("attr %d depth %d count[%d]: %v != %v", attr, d+1, i, gc[i], wc[i])
-				}
-			}
-		}
-	}
-	for p := range want.grids {
-		ge, we := got.grids[p].inner, want.grids[p].inner
-		if ge.N() != we.N() {
-			t.Fatalf("grid %d: n %d != %d", p, ge.N(), we.N())
-		}
-		gc, wc := ge.Counts(), we.Counts()
-		for i := range wc {
-			if gc[i] != wc[i] {
-				t.Fatalf("grid %d count[%d]: %v != %v", p, i, gc[i], wc[i])
-			}
-		}
-	}
-}
-
-// TestSyncDeltaMatchesDirect drives the shard-side sync primitives the
-// way the pipeline does — two live shards, per-shard baselines, one
-// aggregate, multiple rounds syncing only the slots each round's reports
-// touched — and checks the aggregate stays bit-identical to an
-// accumulator that folded every report directly.
-func TestSyncDeltaMatchesDirect(t *testing.T) {
-	col := viewTestCollector(t)
-	shards := []*Accumulator{NewAccumulator(col), NewAccumulator(col)}
-	bases := []*Accumulator{NewAccumulator(col), NewAccumulator(col)}
-	agg := NewAccumulator(col)
-
-	r := rng.New(17)
-	for round := 0; round < 4; round++ {
-		dirtyL := map[int]bool{}
-		dirtyG := map[int]bool{}
-		// Uneven folds: shard 0 gets reports every round, shard 1 only on
-		// even rounds, so some syncs see an untouched shard.
-		for si, sh := range shards {
-			if si == 1 && round%2 == 1 {
-				continue
-			}
-			perL, perG := map[int]bool{}, map[int]bool{}
-			foldTracked(t, sh, r, 50+25*round, perL, perG)
-			for li := range perL {
-				dirtyL[li] = true
-			}
-			for p := range perG {
-				dirtyG[p] = true
-			}
-		}
-		// Sync only the dirty slots, every shard (clean shards contribute
-		// zero deltas, which SyncDelta skips slot by slot).
-		for si, sh := range shards {
-			for li := range dirtyL {
-				sh.SyncDeltaLevel(li, bases[si], agg)
-			}
-			for p := range dirtyG {
-				sh.SyncDeltaGrid(p, bases[si], agg)
-			}
-			sh.SyncDeltaN(bases[si], agg)
-		}
-		// The reference is a direct merge of the live shards.
-		ref := NewAccumulator(col)
-		for _, sh := range shards {
-			ref.Merge(sh)
-		}
-		assertAccCountsIdentical(t, agg, ref)
-		// Baselines have caught up to the live shards.
-		for si := range shards {
-			assertAccCountsIdentical(t, bases[si], shards[si])
+			dGrid[slot] = true
 		}
 	}
 }
@@ -176,11 +92,11 @@ func TestSyncDeltaMatchesDirect(t *testing.T) {
 // the previous view — estimates a read already derived included.
 func TestRebuildViewMatchesView(t *testing.T) {
 	col := viewTestCollector(t)
-	acc := NewAccumulator(col)
+	st := col.NewState()
 	r := rng.New(23)
 	dL, dG := map[int]bool{}, map[int]bool{}
-	foldTracked(t, acc, r, 3000, dL, dG)
-	prev := acc.View()
+	foldTracked(t, col, st, r, 3000, dL, dG)
+	prev := col.View(st)
 	// Derive a few slots of prev, so carried slots bring estimates along.
 	readAll(t, prev)
 
@@ -199,15 +115,15 @@ func TestRebuildViewMatchesView(t *testing.T) {
 		if rep.Kind != KindHier || rep.Attr != 0 || rep.Depth > 2 {
 			continue
 		}
-		if err := acc.Add(rep); err != nil {
+		if err := add(col, st, rep); err != nil {
 			t.Fatal(err)
 		}
 		dL[col.LevelIndex(rep.Attr, rep.Depth)] = true
 		added++
 	}
 
-	got := acc.RebuildView(prev, func(li int) bool { return dL[li] }, func(p int) bool { return dG[p] })
-	assertCarriedOrCopied(t, acc, prev, got, dL, dG)
+	got := col.RebuildView(prev, st, func(li int) bool { return dL[li] }, func(p int) bool { return dG[p] })
+	assertCarriedOrCopied(t, col, st, prev, got, dL, dG)
 	if got.Hier(0) == prev.Hier(0) || got.Hier(0).levels[2] != prev.Hier(0).levels[2] {
 		t.Error("attribute 0 was not rebuilt around its clean depths")
 	}
@@ -215,39 +131,38 @@ func TestRebuildViewMatchesView(t *testing.T) {
 	if got.Hier(1) != prev.Hier(1) {
 		t.Error("clean attribute's HierView was rebuilt, not carried")
 	}
-	assertViewsIdentical(t, got, acc.View())
+	assertViewsIdentical(t, got, col.View(st))
 
 	// A mixed delta dirties levels of both attributes and the grid.
 	prev = got
 	readAll(t, prev)
 	dL, dG = map[int]bool{}, map[int]bool{}
-	foldTracked(t, acc, r, 60, dL, dG)
+	foldTracked(t, col, st, r, 60, dL, dG)
 	if !dG[0] {
 		t.Fatal("mixed delta missed the grid; pick another seed")
 	}
-	got = acc.RebuildView(prev, func(li int) bool { return dL[li] }, func(p int) bool { return dG[p] })
-	assertCarriedOrCopied(t, acc, prev, got, dL, dG)
-	assertViewsIdentical(t, got, acc.View())
+	got = col.RebuildView(prev, st, func(li int) bool { return dL[li] }, func(p int) bool { return dG[p] })
+	assertCarriedOrCopied(t, col, st, prev, got, dL, dG)
+	assertViewsIdentical(t, got, col.View(st))
 
 	// A view holds copies: folding more reports moves none of its answers.
-	before := acc.View()
-	foldTracked(t, acc, r, 200, map[int]bool{}, map[int]bool{})
+	before := col.View(st)
+	foldTracked(t, col, st, r, 200, map[int]bool{}, map[int]bool{})
 	assertViewsIdentical(t, got, before)
 
 	// A nil prev copies every slot.
-	full := acc.RebuildView(nil, nil, nil)
+	full := col.RebuildView(nil, st, nil, nil)
 	if lv, gv := derivedSlots(full); len(lv)+len(gv) != 0 {
 		t.Fatalf("RebuildView(nil, ...) built derived slots: levels %v grids %v", lv, gv)
 	}
-	assertViewsIdentical(t, full, acc.View())
+	assertViewsIdentical(t, full, col.View(st))
 }
 
 // assertCarriedOrCopied checks every slot of a rebuilt view against the
-// dirty sets: a dirty slot is a fresh, underived copy of the accumulator's
-// current counts; a clean slot is prev's slot itself, derived or not.
-func assertCarriedOrCopied(t *testing.T, acc *Accumulator, prev, got *View, dL, dG map[int]bool) {
+// dirty sets: a dirty slot is a fresh, underived copy of st's current
+// column; a clean slot is prev's slot itself, derived or not.
+func assertCarriedOrCopied(t *testing.T, col *Collector, st *AccState, prev, got *View, dL, dG map[int]bool) {
 	t.Helper()
-	col := acc.Collector()
 	depths := col.Hierarchy().Depths()
 	for pos, attr := range col.numeric {
 		for d := 0; d < depths; d++ {
@@ -265,7 +180,7 @@ func assertCarriedOrCopied(t *testing.T, acc *Accumulator, prev, got *View, dL, 
 			if gs.est.Load() != nil {
 				t.Errorf("dirty level slot %d was derived at build", li)
 			}
-			assertSlotCounts(t, gs, acc.hier[attr].levels[d])
+			assertSlotCounts(t, gs, &st.Levels[li])
 		}
 	}
 	for p := range col.pairs {
@@ -279,20 +194,20 @@ func assertCarriedOrCopied(t *testing.T, acc *Accumulator, prev, got *View, dL, 
 		if gs == ps || gs.s.est.Load() != nil {
 			t.Errorf("dirty grid %d: carried=%v derived=%v", p, gs == ps, gs.s.est.Load() != nil)
 		}
-		assertSlotCounts(t, gs.s, acc.grids[p].inner)
+		assertSlotCounts(t, gs.s, &st.Grids[p])
 	}
 }
 
-// assertSlotCounts checks a slot holds the estimator's current counts.
-func assertSlotCounts(t *testing.T, s *slot, e *freq.Estimator) {
+// assertSlotCounts checks a slot holds a copy of column cs's current
+// counts, not the column itself.
+func assertSlotCounts(t *testing.T, s *slot, cs *CountState) {
 	t.Helper()
-	want := e.CountsView()
-	if s.counts.N() != want.N() || s.counts.Len() != want.Len() {
-		t.Fatalf("slot n/len %d/%d, estimator %d/%d", s.counts.N(), s.counts.Len(), want.N(), want.Len())
+	if s.counts.N() != cs.N || s.counts.Len() != len(cs.Counts) {
+		t.Fatalf("slot n/len %d/%d, column %d/%d", s.counts.N(), s.counts.Len(), cs.N, len(cs.Counts))
 	}
-	for i := 0; i < want.Len(); i++ {
-		if s.counts.Count(i) != want.Count(i) {
-			t.Fatalf("slot count[%d] %v, estimator %v", i, s.counts.Count(i), want.Count(i))
+	for i, c := range cs.Counts {
+		if s.counts.Count(i) != c {
+			t.Fatalf("slot count[%d] %v, column %v", i, s.counts.Count(i), c)
 		}
 	}
 }

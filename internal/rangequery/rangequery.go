@@ -5,21 +5,24 @@
 //
 // Each numeric attribute is discretized onto a B-bucket domain
 // (Discretizer). One-dimensional ranges are served by a hierarchical
-// interval oracle (HierCollector/HierEstimator): users report a dyadic
+// interval oracle (HierCollector/HierView): users report a dyadic
 // interval at a uniformly sampled tree depth and the aggregator composes
 // any range from the O(log B) nodes of its canonical cover. Two-
 // dimensional ranges are served by uniform g x g grids over attribute
-// pairs (GridCollector/GridEstimator) with Norm-Sub consistency
+// pairs (GridCollector/GridView) with Norm-Sub consistency
 // post-processing shared with package hist.
 //
 // The top-level Collector implements the user side end to end: every user
 // is routed to exactly one sub-task — a (attribute, depth) interval report
 // or an attribute-pair cell report — so each report consumes the full
 // budget eps, in the attribute-sampling spirit of the paper's Algorithm 4
-// and the RS+FD line. Accumulator is the matching server side; the
-// sharded pipeline guards one per shard. Collector.Validate and
-// Collector.CheckState check a report or an exported state against the
-// configuration alone, so ingest and merges check without any estimator.
+// and the RS+FD line. The server side is plain count columns: an AccState
+// holds one frequency oracle's support counts per hierarchy level and per
+// grid, Collector.Fold adds a report into its column, states sum
+// elementwise, and Collector.View debiases a copy of them on demand.
+// Collector.Validate and Collector.CheckState check a report or a state
+// against the configuration alone, so ingest and merges check before any
+// count moves.
 package rangequery
 
 import (
@@ -182,7 +185,7 @@ func (c *Collector) Perturb(t schema.Tuple, r *rng.Rand) (Report, error) {
 // Validate checks a range report against the collector configuration —
 // a numeric attribute and a depth in [1, log2 B] for a hierarchy report,
 // a pair index for a grid report, and a response shaped like the oracle's
-// — without touching any estimator state. The configuration is immutable
+// — without touching any aggregate state. The configuration is immutable
 // after construction, so Validate is safe for concurrent use (batch ingest
 // validates a whole batch before folding any of it in).
 func (c *Collector) Validate(rep Report) error {
@@ -203,123 +206,4 @@ func (c *Collector) Validate(rep Report) error {
 	default:
 		return fmt.Errorf("rangequery: unknown report kind %d", rep.Kind)
 	}
-}
-
-// Accumulator is the unlocked estimator state for range reports: the
-// per-attribute hierarchies and per-pair grids of one aggregation domain.
-// It is not safe for concurrent use — callers provide their own locking
-// (the sharded pipeline guards one Accumulator per shard with the shard
-// lock).
-type Accumulator struct {
-	col   *Collector
-	n     int64
-	hier  map[int]*HierEstimator // keyed by schema attribute index
-	grids []*GridEstimator       // aligned with col.pairs; nil when disabled
-}
-
-// NewAccumulator creates unlocked estimator state matching the collector's
-// configuration.
-func NewAccumulator(c *Collector) *Accumulator {
-	a := &Accumulator{col: c, hier: make(map[int]*HierEstimator, len(c.numeric))}
-	for _, attr := range c.numeric {
-		a.hier[attr] = NewHierEstimator(c.hier)
-	}
-	if c.grid != nil {
-		a.grids = make([]*GridEstimator, len(c.pairs))
-		for i := range a.grids {
-			a.grids[i] = NewGridEstimator(c.grid)
-		}
-	}
-	return a
-}
-
-// Collector returns the collector configuration this accumulator matches.
-func (a *Accumulator) Collector() *Collector { return a.col }
-
-// N returns the number of reports folded in.
-func (a *Accumulator) N() int64 { return a.n }
-
-// Add validates and folds one report in.
-func (a *Accumulator) Add(rep Report) error {
-	if err := a.col.Validate(rep); err != nil {
-		return err
-	}
-	a.FoldValidated(rep)
-	return nil
-}
-
-// FoldValidated folds one report that has already passed
-// Collector.Validate, without re-checking it: the batch ingest path
-// validates lock-free up front and calls this inside the shard critical
-// section.
-func (a *Accumulator) FoldValidated(rep Report) {
-	switch rep.Kind {
-	case KindHier:
-		a.hier[rep.Attr].levels[rep.Depth-1].Add(rep.Resp)
-	case KindGrid:
-		a.grids[rep.Pair].inner.Add(rep.Resp)
-	}
-	a.n++
-}
-
-// Merge folds another accumulator built from the same collector into this
-// one. The source is only read; the caller is responsible for excluding
-// concurrent writers on both sides.
-func (a *Accumulator) Merge(o *Accumulator) {
-	a.n += o.n
-	for attr, est := range a.hier {
-		est.Merge(o.hier[attr])
-	}
-	for i, g := range a.grids {
-		g.Merge(o.grids[i])
-	}
-}
-
-// Range1D estimates the fraction of users whose numeric attribute attr
-// (schema index) lies in [lo, hi], from that attribute's hierarchical
-// interval estimates. Query endpoints are rounded outward to bucket
-// boundaries (see Discretizer.Span).
-func (a *Accumulator) Range1D(attr int, lo, hi float64) (float64, error) {
-	est, ok := a.hier[attr]
-	if !ok {
-		return 0, fmt.Errorf("rangequery: attribute %d is not a numeric attribute of the schema", attr)
-	}
-	b0, b1, ok := a.col.disc.Span(lo, hi)
-	if !ok {
-		return 0, nil
-	}
-	return est.SpanMass(b0, b1)
-}
-
-// Range2D estimates the fraction of users with attribute ai in [alo, ahi]
-// AND attribute aj in [blo, bhi], from the pair's consistent 2-D grid.
-// The attribute order is free: (ai, aj) and (aj, ai) answer the same
-// query.
-func (a *Accumulator) Range2D(ai, aj int, alo, ahi, blo, bhi float64) (float64, error) {
-	if a.grids == nil {
-		return 0, fmt.Errorf("rangequery: 2-D grids are disabled in this collector")
-	}
-	if aj < ai {
-		ai, aj = aj, ai
-		alo, ahi, blo, bhi = blo, bhi, alo, ahi
-	}
-	for p, pair := range a.col.pairs {
-		if pair[0] == ai && pair[1] == aj {
-			return a.grids[p].RectMass(alo, ahi, blo, bhi), nil
-		}
-	}
-	return 0, fmt.Errorf("rangequery: no grid for attribute pair (%d,%d)", ai, aj)
-}
-
-// Hier returns the hierarchical estimator of numeric attribute attr
-// (schema index), or nil if the attribute has none.
-func (a *Accumulator) Hier(attr int) *HierEstimator { return a.hier[attr] }
-
-// GridFor returns the grid estimator of pair index p (see
-// Collector.Pairs), or nil when grids are disabled.
-func (a *Accumulator) GridFor(p int) *GridEstimator {
-	if a.grids == nil || p < 0 || p >= len(a.grids) {
-		return nil
-	}
-	return a.grids[p]
 }

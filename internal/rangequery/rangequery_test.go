@@ -2,7 +2,6 @@ package rangequery
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"ldp/internal/freq"
@@ -124,38 +123,47 @@ func TestPerturbRejectsBadTuple(t *testing.T) {
 	}
 }
 
+// add validates rep and folds it into st, as the pipeline's ingest does.
+func add(c *Collector, st *AccState, rep Report) error {
+	if err := c.Validate(rep); err != nil {
+		return err
+	}
+	c.Fold(st, rep)
+	return nil
+}
+
 func TestAggregatorRejectsBadReports(t *testing.T) {
 	s := twoNumSchema(t)
 	c, err := NewCollector(s, 1, Config{Buckets: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewAccumulator(c)
-	if err := a.Add(Report{Kind: KindHier, Attr: 2, Depth: 1}); err == nil {
+	st := c.NewState()
+	if err := add(c, st, Report{Kind: KindHier, Attr: 2, Depth: 1}); err == nil {
 		t.Error("want error for hier report on categorical attribute")
 	}
-	if err := a.Add(Report{Kind: KindHier, Attr: 0, Depth: 99}); err == nil {
+	if err := add(c, st, Report{Kind: KindHier, Attr: 0, Depth: 99}); err == nil {
 		t.Error("want error for bad depth")
 	}
-	if err := a.Add(Report{Kind: KindGrid, Pair: 5}); err == nil {
+	if err := add(c, st, Report{Kind: KindGrid, Pair: 5}); err == nil {
 		t.Error("want error for out-of-range pair")
 	}
-	if err := a.Add(Report{Kind: ReportKind(9)}); err == nil {
+	if err := add(c, st, Report{Kind: ReportKind(9)}); err == nil {
 		t.Error("want error for unknown kind")
 	}
-	if a.N() != 0 {
-		t.Errorf("rejected reports must not count: N = %d", a.N())
+	if st.N != 0 {
+		t.Errorf("rejected reports must not count: N = %d", st.N)
 	}
 
 	// Responses whose bitset does not match the oracle domain (e.g. a
 	// crafted network frame) must be rejected, not panic downstream.
-	if err := a.Add(Report{Kind: KindHier, Attr: 0, Depth: 1, Resp: freq.Response{Bits: freq.NewBitset(0)}}); err == nil {
+	if err := add(c, st, Report{Kind: KindHier, Attr: 0, Depth: 1, Resp: freq.Response{Bits: freq.NewBitset(0)}}); err == nil {
 		t.Error("want error for empty bitset on a 2-node depth")
 	}
-	if err := a.Add(Report{Kind: KindHier, Attr: 0, Depth: 4, Resp: freq.Response{Bits: freq.NewBitset(129)}}); err == nil {
+	if err := add(c, st, Report{Kind: KindHier, Attr: 0, Depth: 4, Resp: freq.Response{Bits: freq.NewBitset(129)}}); err == nil {
 		t.Error("want error for bitset wider than the depth's domain")
 	}
-	if err := a.Add(Report{Kind: KindGrid, Pair: 0, Resp: freq.Response{Bits: freq.NewBitset(999)}}); err == nil {
+	if err := add(c, st, Report{Kind: KindGrid, Pair: 0, Resp: freq.Response{Bits: freq.NewBitset(999)}}); err == nil {
 		t.Error("want error for oversized grid bitset")
 	}
 
@@ -163,20 +171,20 @@ func TestAggregatorRejectsBadReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ng := NewAccumulator(noGrid)
-	if err := ng.Add(Report{Kind: KindGrid, Pair: 0}); err == nil {
+	ng := noGrid.NewState()
+	if err := add(noGrid, ng, Report{Kind: KindGrid, Pair: 0}); err == nil {
 		t.Error("want error for grid report when grids are disabled")
 	}
-	if _, err := ng.Range2D(0, 1, -1, 1, -1, 1); err == nil {
+	if _, err := noGrid.View(ng).Range2D(0, 1, -1, 1, -1, 1); err == nil {
 		t.Error("want error for Range2D when grids are disabled")
 	}
 }
 
-// endToEnd simulates a population through the full collector/accumulator
-// path and returns the accumulator plus the raw values for ground truth.
-func endToEnd(t *testing.T, s *schema.Schema, c *Collector, n int, seed uint64) (*Accumulator, [][2]float64) {
+// endToEnd simulates a population through the full collector path,
+// folding every report into st, and returns the raw values for ground
+// truth.
+func endToEnd(t *testing.T, s *schema.Schema, c *Collector, st *AccState, n int, seed uint64) [][2]float64 {
 	t.Helper()
-	agg := NewAccumulator(c)
 	vals := make([][2]float64, n)
 	for i := 0; i < n; i++ {
 		r := rng.NewStream(seed, uint64(i))
@@ -190,11 +198,11 @@ func endToEnd(t *testing.T, s *schema.Schema, c *Collector, n int, seed uint64) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := agg.Add(rep); err != nil {
+		if err := add(c, st, rep); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return agg, vals
+	return vals
 }
 
 func TestEndToEndRangeQueries(t *testing.T) {
@@ -207,10 +215,12 @@ func TestEndToEndRangeQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, vals := endToEnd(t, s, c, n, 11)
-	if agg.N() != n {
-		t.Fatalf("aggregator saw %d reports, want %d", agg.N(), n)
+	st := c.NewState()
+	vals := endToEnd(t, s, c, st, n, 11)
+	if st.N != n {
+		t.Fatalf("aggregator saw %d reports, want %d", st.N, n)
 	}
+	agg := c.View(st)
 
 	// 1-D: P(x in [-0.25, 0.5]), endpoints on bucket boundaries (B=64).
 	xlo, xhi := -0.25, 0.5
@@ -263,52 +273,29 @@ func TestEndToEndRangeQueries(t *testing.T) {
 	}
 }
 
+// TestAggregatorMerge: the elementwise sum of two folded states answers
+// every query exactly like one state that folded all their reports.
 func TestAggregatorMerge(t *testing.T) {
 	s := twoNumSchema(t)
 	c, err := NewCollector(s, 1, Config{Buckets: 32, GridCells: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := endToEnd(t, s, c, 6000, 21)
-	b, _ := endToEnd(t, s, c, 4000, 22)
-	merged := NewAccumulator(c)
-	merged.Merge(a)
-	merged.Merge(b)
-	if merged.N() != 10_000 {
-		t.Errorf("merged N = %d, want 10000", merged.N())
+	a, b, whole := c.NewState(), c.NewState(), c.NewState()
+	endToEnd(t, s, c, a, 6000, 21)
+	endToEnd(t, s, c, b, 4000, 22)
+	endToEnd(t, s, c, whole, 6000, 21)
+	endToEnd(t, s, c, whole, 4000, 22)
+	merged := sumStates(a, b)
+	if merged.N != 10_000 {
+		t.Errorf("merged N = %d, want 10000", merged.N)
 	}
-	got, err := merged.Range1D(0, -1, 1)
+	assertViewsIdentical(t, c.View(merged), c.View(whole))
+	got, err := c.View(merged).Range1D(0, -1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got-1) > 0.25 {
 		t.Errorf("merged full-domain mass %.4f, want ~1", got)
-	}
-}
-
-// TestAccStateAddIsAtomic: a state whose last level has one bucket more
-// than the receiver's is refused before any level is added.
-func TestAccStateAddIsAtomic(t *testing.T) {
-	st := &AccState{
-		N: 9,
-		Levels: []CountState{
-			{Counts: []float64{7, 2}, N: 9},
-			{Counts: []float64{3, 4, 1, 1}, N: 9},
-		},
-		Grids: []CountState{{Counts: []float64{5, 4}, N: 9}},
-	}
-	bad := st.Clone()
-	last := &bad.Levels[len(bad.Levels)-1]
-	last.Counts = append(last.Counts, 1)
-
-	got := st.Clone()
-	if err := got.Add(bad); err == nil {
-		t.Fatal("Add accepted a level of another domain")
-	}
-	if !reflect.DeepEqual(got, st) {
-		t.Fatalf("a failed Add changed the receiver: %+v", got)
-	}
-	if err := got.Add(st); err != nil || got.Levels[0].Counts[0] != 14 || got.N != 18 {
-		t.Fatalf("Add of a matching state: err %v, level 0 count %v, N %d", err, got.Levels[0].Counts[0], got.N)
 	}
 }

@@ -3,65 +3,75 @@ package rangequery
 import (
 	"fmt"
 	"math"
+
+	"ldp/internal/freq"
 )
 
-// AccState is the exported raw aggregate of an Accumulator: the support
-// counts and reporter counts of every per-depth hierarchy estimator and
-// every pair grid, in a fixed order derived from the collector
-// configuration (numeric attributes in schema order, depths ascending,
-// then pairs in Collector.Pairs order). All of it is additive — two
-// states built from the same collector configuration combine by
-// elementwise summation — which is what lets a fleet of edge aggregators
-// fold into a root without touching estimator internals.
+// AccState is the range task's raw aggregate: the support counts and
+// reporter counts of every hierarchy level and every pair grid, each one
+// frequency oracle's count column, in a fixed order derived from the
+// collector configuration (numeric attributes in schema order, depths
+// ascending, then pairs in Collector.Pairs order). Collector.Fold adds
+// reports into it and Collector.View answers queries from it. All of it
+// is additive — two states built from the same collector configuration
+// combine by elementwise summation — which is what lets shards sum into
+// one aggregate and a fleet of edge aggregators fold into a root.
 type AccState struct {
 	// N is the total number of range reports folded in.
 	N int64
 	// Levels holds one entry per (numeric attribute, depth), attribute-
 	// major: for attribute i of the collector's numeric list and depth d
-	// in [1, log2 B], Levels[i*depths + d-1].
+	// in [1, log2 B], Levels[i*depths + d-1] (see Collector.LevelIndex).
 	Levels []CountState
 	// Grids holds one entry per attribute pair, aligned with
 	// Collector.Pairs. Empty when 2-D grids are disabled.
 	Grids []CountState
 }
 
-// CountState is one frequency estimator's raw aggregate: per-domain-value
+// CountState is one frequency oracle's raw aggregate: per-domain-value
 // support counts plus the reporter count they were accumulated over.
 type CountState struct {
 	Counts []float64
 	N      int64
 }
 
-// addInto folds src into dst elementwise; shapes must already match.
-func (c *CountState) addInto(dst *CountState) {
-	for i, v := range c.Counts {
-		dst.Counts[i] += v
+// NewState returns a zero state shaped for the collector: a 2^d-value
+// column for every depth d of every numeric attribute's hierarchy, and a
+// g^2-cell column for every pair grid.
+func (c *Collector) NewState() *AccState {
+	depths := c.hier.depths
+	st := &AccState{Levels: make([]CountState, c.LevelSlots()), Grids: make([]CountState, c.GridSlots())}
+	for i := range st.Levels {
+		st.Levels[i].Counts = make([]float64, 1<<(i%depths+1))
 	}
-	dst.N += c.N
-}
-
-// ExportState deep-copies the accumulator's raw aggregate state. The
-// caller is responsible for excluding concurrent writers (the sharded
-// pipeline calls it under the shard lock).
-func (a *Accumulator) ExportState() *AccState {
-	depths := a.col.hier.depths
-	st := &AccState{
-		N:      a.n,
-		Levels: make([]CountState, len(a.col.numeric)*depths),
-	}
-	for i, attr := range a.col.numeric {
-		est := a.hier[attr]
-		for d, l := range est.levels {
-			st.Levels[i*depths+d] = CountState{Counts: l.Counts(), N: l.N()}
-		}
-	}
-	if a.grids != nil {
-		st.Grids = make([]CountState, len(a.grids))
-		for i, g := range a.grids {
-			st.Grids[i] = CountState{Counts: g.inner.Counts(), N: g.inner.N()}
-		}
+	for i := range st.Grids {
+		st.Grids[i].Counts = make([]float64, c.grid.cells*c.grid.cells)
 	}
 	return st
+}
+
+// Fold adds one report that has already passed Validate into st, which
+// must be shaped for the collector: the report's level or grid column
+// gains the response's support (every set bit of a unary-encoded
+// response, or the one value of a GRR response) and one reporter. It
+// returns that column's index, in Levels for a hierarchy report (its
+// LevelIndex) and in Grids for a grid report (its pair). It does not
+// re-check the report, so the batch ingest path validates lock-free up
+// front and folds inside the shard critical section.
+func (c *Collector) Fold(st *AccState, rep Report) int {
+	i, cols := rep.Pair, st.Grids
+	if rep.Kind == KindHier {
+		i, cols = c.numPos[rep.Attr]*c.hier.depths+rep.Depth-1, st.Levels
+	}
+	cs := &cols[i]
+	if rep.Resp.Bits != nil {
+		freq.FoldBits(cs.Counts, rep.Resp.Bits)
+	} else {
+		cs.Counts[rep.Resp.Value]++
+	}
+	cs.N++
+	st.N++
+	return i
 }
 
 // CheckState validates a state's shape and values against the collector
@@ -119,32 +129,6 @@ func checkCountState(c *CountState, domain int) error {
 	return nil
 }
 
-// AddState validates st against the accumulator's configuration and folds
-// it in. The caller is responsible for excluding concurrent writers.
-func (a *Accumulator) AddState(st *AccState) error {
-	if err := a.col.CheckState(st); err != nil {
-		return err
-	}
-	depths := a.col.hier.depths
-	for i, attr := range a.col.numeric {
-		est := a.hier[attr]
-		for d := range est.levels {
-			s := &st.Levels[i*depths+d]
-			if err := est.levels[d].AddCounts(s.Counts, s.N); err != nil {
-				return fmt.Errorf("rangequery: fold level: %w", err)
-			}
-		}
-	}
-	for i := range st.Grids {
-		s := &st.Grids[i]
-		if err := a.grids[i].inner.AddCounts(s.Counts, s.N); err != nil {
-			return fmt.Errorf("rangequery: fold grid: %w", err)
-		}
-	}
-	a.n += st.N
-	return nil
-}
-
 // Sub returns the elementwise difference cur - prev, the delta an edge
 // ships after prev was already acknowledged. A nil prev returns a deep
 // copy of cur. Shapes must match (both built from the same collector
@@ -153,7 +137,7 @@ func (cur *AccState) Sub(prev *AccState) (*AccState, error) {
 	if prev == nil {
 		return cur.Clone(), nil
 	}
-	if len(cur.Levels) != len(prev.Levels) || len(cur.Grids) != len(prev.Grids) {
+	if !cur.SameShape(prev) {
 		return nil, fmt.Errorf("rangequery: subtracting states of different shapes")
 	}
 	out := &AccState{
@@ -161,55 +145,33 @@ func (cur *AccState) Sub(prev *AccState) (*AccState, error) {
 		Levels: make([]CountState, len(cur.Levels)),
 		Grids:  make([]CountState, len(cur.Grids)),
 	}
-	var err error
 	for i := range cur.Levels {
-		if out.Levels[i], err = subCountState(&cur.Levels[i], &prev.Levels[i]); err != nil {
-			return nil, err
-		}
+		out.Levels[i] = subCountState(&cur.Levels[i], &prev.Levels[i])
 	}
 	for i := range cur.Grids {
-		if out.Grids[i], err = subCountState(&cur.Grids[i], &prev.Grids[i]); err != nil {
-			return nil, err
-		}
+		out.Grids[i] = subCountState(&cur.Grids[i], &prev.Grids[i])
 	}
 	return out, nil
 }
 
-func subCountState(cur, prev *CountState) (CountState, error) {
-	if len(cur.Counts) != len(prev.Counts) {
-		return CountState{}, fmt.Errorf("rangequery: subtracting counts of different domains")
-	}
+func subCountState(cur, prev *CountState) CountState {
 	out := CountState{Counts: make([]float64, len(cur.Counts)), N: cur.N - prev.N}
 	for i, v := range cur.Counts {
 		out.Counts[i] = v - prev.Counts[i]
 	}
-	return out, nil
+	return out
 }
 
-// Add folds o into the state elementwise. Shapes and domains must match;
-// on a mismatch Add returns an error and leaves the state unchanged.
-func (st *AccState) Add(o *AccState) error {
-	if o == nil {
-		return nil
-	}
-	if len(st.Levels) != len(o.Levels) || len(st.Grids) != len(o.Grids) {
-		return fmt.Errorf("rangequery: adding states of different shapes")
-	}
-	if !sameDomains(st.Levels, o.Levels) || !sameDomains(st.Grids, o.Grids) {
-		return fmt.Errorf("rangequery: adding counts of different domains")
-	}
-	for i := range o.Levels {
-		o.Levels[i].addInto(&st.Levels[i])
-	}
-	for i := range o.Grids {
-		o.Grids[i].addInto(&st.Grids[i])
-	}
-	st.N += o.N
-	return nil
+// SameShape reports whether o has the same shape as st: as many levels
+// and grids, each with the same domain, so one adds into the other
+// elementwise.
+func (st *AccState) SameShape(o *AccState) bool {
+	return len(st.Levels) == len(o.Levels) && len(st.Grids) == len(o.Grids) &&
+		sameDomains(st.Levels, o.Levels) && sameDomains(st.Grids, o.Grids)
 }
 
 // sameDomains reports whether two equally long count lists have the same
-// domain slot by slot, so Add can check everything before it adds anything.
+// domain slot by slot.
 func sameDomains(a, b []CountState) bool {
 	for i := range a {
 		if len(a[i].Counts) != len(b[i].Counts) {

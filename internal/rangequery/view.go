@@ -1,7 +1,9 @@
 package rangequery
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"ldp/internal/freq"
@@ -18,8 +20,8 @@ import (
 // over a slot allocates its estimate, and later reads are lookups with no
 // lock and no allocation. Each slot's derivation depends on that slot's
 // counts alone, so when it happens cannot change an answer. One View can
-// serve any number of concurrent queries. Build one with Accumulator.View
-// or Accumulator.RebuildView.
+// serve any number of concurrent queries. Build one with Collector.View or
+// Collector.RebuildView.
 type View struct {
 	col   *Collector
 	n     int64
@@ -27,11 +29,15 @@ type View struct {
 	grids []*GridView // aligned with col.pairs; nil when grids are disabled
 }
 
-// View snapshots the accumulator's support counts into an immutable query
-// view; no slot is derived yet. The caller must exclude concurrent folds
-// for the duration of the call (the pipeline holds its shard locks or
-// owns the accumulator outright).
-func (a *Accumulator) View() *View { return a.RebuildView(nil, nil, nil) }
+// View copies st's support counts into an immutable query view; no slot
+// is derived yet. st must be shaped for the collector (NewState), and the
+// caller must exclude concurrent folds into it for the duration of the
+// call.
+func (c *Collector) View(st *AccState) *View { return c.RebuildView(nil, st, nil, nil) }
+
+// errNaNEndpoint rejects a NaN range endpoint: NaN orders with nothing, so
+// unlike ±Inf it can neither clamp into [-1, 1] nor bound a range.
+var errNaNEndpoint = errors.New("rangequery: range endpoint is NaN")
 
 // Collector returns the collector configuration the view was built from.
 func (v *View) Collector() *Collector { return v.col }
@@ -60,8 +66,12 @@ func (v *View) GridFor(p int) *GridView {
 // Range1D estimates the fraction of users whose numeric attribute attr
 // (schema index) lies in [lo, hi] from the attribute's per-depth
 // estimates, deriving any depth the range's dyadic cover reads for the
-// first time in this view.
+// first time in this view. A NaN endpoint is an error; ±Inf clamps to the
+// domain.
 func (v *View) Range1D(attr int, lo, hi float64) (float64, error) {
+	if math.IsNaN(lo) || math.IsNaN(hi) {
+		return 0, errNaNEndpoint
+	}
 	hv := v.Hier(attr)
 	if hv == nil {
 		return 0, fmt.Errorf("rangequery: attribute %d is not a numeric attribute of the schema", attr)
@@ -76,8 +86,11 @@ func (v *View) Range1D(attr int, lo, hi float64) (float64, error) {
 // Range2D estimates the fraction of users with attribute ai in [alo, ahi]
 // AND attribute aj in [blo, bhi] from the pair's consistent grid, deriving
 // the grid if this is its first read in this view. The attribute order is
-// free.
+// free. A NaN endpoint is an error; ±Inf clamps to the domain.
 func (v *View) Range2D(ai, aj int, alo, ahi, blo, bhi float64) (float64, error) {
+	if math.IsNaN(alo) || math.IsNaN(ahi) || math.IsNaN(blo) || math.IsNaN(bhi) {
+		return 0, errNaNEndpoint
+	}
 	if v.grids == nil {
 		return 0, fmt.Errorf("rangequery: 2-D grids are disabled in this collector")
 	}
@@ -93,7 +106,7 @@ func (v *View) Range2D(ai, aj int, alo, ahi, blo, bhi float64) (float64, error) 
 	return 0, fmt.Errorf("rangequery: no grid for attribute pair (%d,%d)", ai, aj)
 }
 
-// slot is one component of a view: a copy of one estimator's support
+// slot is one component of a view: a copy of one count column's support
 // counts and reporter count taken at build, and the estimate derived from
 // them on first read.
 type slot struct {
@@ -101,10 +114,10 @@ type slot struct {
 	est    atomic.Pointer[[]float64]
 }
 
-// newSlot copies the counts of estimator e, which runs oracle o, into a
+// newSlot copies count column cs, which oracle o's reports filled, into a
 // fresh, underived slot.
-func newSlot(o freq.Oracle, e *freq.Estimator) *slot {
-	return &slot{counts: freq.NewDebiasView(o, e.Counts(), e.N())}
+func newSlot(o freq.Oracle, cs *CountState) *slot {
+	return &slot{counts: freq.NewDebiasView(o, append([]float64(nil), cs.Counts...), cs.N)}
 }
 
 // derived returns the slot's estimate, computing it with derive on the

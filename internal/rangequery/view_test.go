@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"ldp/internal/freq"
+	"ldp/internal/hist"
 	"ldp/internal/rng"
 	"ldp/internal/schema"
 )
@@ -26,54 +28,145 @@ func viewTestCollector(t *testing.T) *Collector {
 	return col
 }
 
-// TestViewMatchesAccumulator pins the precomputed View against the
-// estimator-backed Accumulator: every 1-D and 2-D answer must agree to
-// within float roundoff, since the view only reorders when the debiasing
-// and Norm-Sub work happens.
-func TestViewMatchesAccumulator(t *testing.T) {
-	col := viewTestCollector(t)
-	acc := NewAccumulator(col)
-	r := rng.New(5)
-	tup := schema.NewTuple(col.Schema())
-	for i := 0; i < 4000; i++ {
-		tup.Num[0] = rng.Uniform(r, -1, 1)
-		tup.Num[1] = rng.Uniform(r, -0.5, 1)
-		rep, err := col.Perturb(tup, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := acc.Add(rep); err != nil {
-			t.Fatal(err)
+// refAcc is the eager estimator path, kept as a test-only reference for
+// the views: one freq.Estimator per hierarchy level and per grid, filled
+// by Estimator.Add, and read at every query through Decompose (1-D) or
+// hist.NormSub of Estimates (2-D). It shares no code with Fold or View.
+type refAcc struct {
+	col    *Collector
+	levels map[[2]int]*freq.Estimator // by (schema attribute, depth)
+	grids  []*freq.Estimator          // by pair
+}
+
+func newRefAcc(c *Collector) *refAcc {
+	r := &refAcc{col: c, levels: map[[2]int]*freq.Estimator{}}
+	for _, attr := range c.numeric {
+		for d := 1; d <= c.Hierarchy().Depths(); d++ {
+			r.levels[[2]int{attr, d}] = freq.NewEstimator(c.Hierarchy().Oracle(d))
 		}
 	}
+	if g := c.Grid(); g != nil {
+		for range c.Pairs() {
+			r.grids = append(r.grids, freq.NewEstimator(g.Oracle()))
+		}
+	}
+	return r
+}
 
-	v := acc.View()
-	if v.N() != acc.N() {
-		t.Fatalf("view N = %d, accumulator N = %d", v.N(), acc.N())
+func (r *refAcc) add(rep Report) {
+	if rep.Kind == KindHier {
+		r.levels[[2]int{rep.Attr, rep.Depth}].Add(rep.Resp)
+	} else {
+		r.grids[rep.Pair].Add(rep.Resp)
+	}
+}
+
+// spanMass sums the node estimates of the bucket span's canonical cover,
+// clamped into [0, 1].
+func (r *refAcc) spanMass(attr, lo, hi int) (float64, error) {
+	nodes, err := Decompose(r.col.Hierarchy().Buckets(), lo, hi)
+	if err != nil {
+		return 0, err
+	}
+	mass := 0.0
+	for _, n := range nodes {
+		mass += r.levels[[2]int{attr, n.Depth}].Estimates()[n.Index]
+	}
+	return math.Min(1, math.Max(0, mass)), nil
+}
+
+func (r *refAcc) range1D(attr int, lo, hi float64) (float64, error) {
+	b0, b1, ok := r.col.Discretizer().Span(lo, hi)
+	if !ok {
+		return 0, nil
+	}
+	return r.spanMass(attr, b0, b1)
+}
+
+func (r *refAcc) rectMass(p int, xlo, xhi, ylo, yhi float64) float64 {
+	return rectMass(hist.NormSub(r.grids[p].Estimates()), r.col.Grid().Cells(), xlo, xhi, ylo, yhi)
+}
+
+// sumStates returns the elementwise sum of two states of one collector,
+// the merge the pipeline performs across shards and aggregators.
+func sumStates(a, b *AccState) *AccState {
+	out := a.Clone()
+	out.N += b.N
+	for _, pair := range [][2][]CountState{{out.Levels, b.Levels}, {out.Grids, b.Grids}} {
+		for i, cs := range pair[1] {
+			for v, c := range cs.Counts {
+				pair[0][i].Counts[v] += c
+			}
+			pair[0][i].N += cs.N
+		}
+	}
+	return out
+}
+
+// TestViewMatchesAccumulator pins the View of folded count columns
+// against the reference estimators fed the same reports: every 1-D and
+// 2-D answer must agree to within float roundoff, for a unary-encoding
+// (OUE) and a value-type (GRR) oracle.
+func TestViewMatchesAccumulator(t *testing.T) {
+	grr := func(e float64, k int) (freq.Oracle, error) { return freq.NewGRR(e, k) }
+	for _, oracle := range []freq.Factory{nil, grr} {
+		col := viewTestCollector(t)
+		if oracle != nil {
+			var err error
+			if col, err = NewCollector(col.Schema(), 1, Config{Buckets: 16, GridCells: 4, Oracle: oracle}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, ref := col.NewState(), newRefAcc(col)
+		r := rng.New(5)
+		tup := schema.NewTuple(col.Schema())
+		for i := 0; i < 4000; i++ {
+			tup.Num[0] = rng.Uniform(r, -1, 1)
+			tup.Num[1] = rng.Uniform(r, -0.5, 1)
+			rep, err := col.Perturb(tup, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := add(col, st, rep); err != nil {
+				t.Fatal(err)
+			}
+			ref.add(rep)
+		}
+		assertViewMatchesRef(t, col.View(st), ref)
+	}
+}
+
+// assertViewMatchesRef compares a view's 1-D and 2-D answers, and its
+// error surfaces, against the reference estimators.
+func assertViewMatchesRef(t *testing.T, v *View, ref *refAcc) {
+	t.Helper()
+	col := ref.col
+	if v.N() != 4000 {
+		t.Fatalf("view N = %d, want 4000", v.N())
 	}
 	queries := [][2]float64{{-1, 1}, {-0.6, 0.2}, {0.11, 0.13}, {0.5, -0.5}}
 	for attr := 0; attr < 2; attr++ {
 		for _, q := range queries {
-			want, err1 := acc.Range1D(attr, q[0], q[1])
+			want, err1 := ref.range1D(attr, q[0], q[1])
 			got, err2 := v.Range1D(attr, q[0], q[1])
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("attr %d %v: error mismatch (%v vs %v)", attr, q, err1, err2)
 			}
 			if math.Abs(want-got) > 1e-12 {
-				t.Errorf("attr %d range %v: accumulator %.9f != view %.9f", attr, q, want, got)
+				t.Errorf("attr %d range %v: estimator %.9f != view %.9f", attr, q, want, got)
 			}
 		}
 	}
 	for _, q := range [][4]float64{{-1, 1, -1, 1}, {-0.4, 0.3, 0, 0.9}, {0.2, 0.21, -0.9, -0.8}} {
-		want, err1 := acc.Range2D(0, 1, q[0], q[1], q[2], q[3])
-		got, err2 := v.Range2D(0, 1, q[0], q[1], q[2], q[3])
-		if err1 != nil || err2 != nil {
-			t.Fatalf("2-D %v: %v / %v", q, err1, err2)
+		want := ref.rectMass(0, q[0], q[1], q[2], q[3])
+		got, err := v.Range2D(0, 1, q[0], q[1], q[2], q[3])
+		if err != nil {
+			t.Fatalf("2-D %v: %v", q, err)
 		}
 		if math.Abs(want-got) > 1e-12 {
-			t.Errorf("2-D %v: accumulator %.9f != view %.9f", q, want, got)
+			t.Errorf("2-D %v: estimator %.9f != view %.9f", q, want, got)
 		}
-		// The argument order is free on both surfaces.
+		// The argument order is free.
 		swapped, err := v.Range2D(1, 0, q[2], q[3], q[0], q[1])
 		if err != nil {
 			t.Fatal(err)
@@ -83,7 +176,7 @@ func TestViewMatchesAccumulator(t *testing.T) {
 		}
 	}
 
-	// Error surfaces survive on the view.
+	// Error surfaces.
 	if _, err := v.Range1D(2, -1, 1); err == nil {
 		t.Error("Range1D on a categorical attribute should error")
 	}
@@ -102,24 +195,24 @@ func TestViewMatchesAccumulator(t *testing.T) {
 }
 
 // TestHierViewSpanMassExhaustive pins the allocation-free inline dyadic
-// walk of HierView.SpanMass against the Decompose-based estimator path
-// over every (lo, hi) pair of the domain, including the error cases.
+// walk of HierView.SpanMass against the Decompose-based reference over
+// every (lo, hi) pair of the domain, including the error cases.
 func TestHierViewSpanMassExhaustive(t *testing.T) {
-	c, err := NewHierCollector(1, 16, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := NewHierEstimator(c)
+	c := hierCollector(t, 1, 16)
+	st, ref := c.NewState(), newRefAcc(c)
 	r := rng.New(9)
 	for i := 0; i < 3000; i++ {
-		if err := est.Add(c.Perturb(r.IntN(16), r)); err != nil {
+		hr := c.Hierarchy().Perturb(r.IntN(16), r)
+		rep := Report{Kind: KindHier, Depth: hr.Depth, Resp: hr.Resp}
+		if err := add(c, st, rep); err != nil {
 			t.Fatal(err)
 		}
+		ref.add(rep)
 	}
-	view := est.View()
+	view := c.View(st).Hier(0)
 	for lo := 0; lo < 16; lo++ {
 		for hi := lo; hi < 16; hi++ {
-			want, err := est.SpanMass(lo, hi)
+			want, err := ref.spanMass(0, lo, hi)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,26 +232,25 @@ func TestHierViewSpanMassExhaustive(t *testing.T) {
 	}
 }
 
-// TestGridViewMatchesEstimator pins the precomputed grid view against
-// the estimator, including the Joint copy semantics.
+// TestGridViewMatchesEstimator pins the grid view against the reference
+// estimator, including the Joint copy semantics.
 func TestGridViewMatchesEstimator(t *testing.T) {
-	c, err := NewGridCollector(1, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := NewGridEstimator(c)
+	c := gridCollector(t, 1, 4)
+	st, ref := c.NewState(), newRefAcc(c)
 	r := rng.New(3)
 	for i := 0; i < 2000; i++ {
-		if err := est.Add(c.Perturb(rng.Uniform(r, -1, 1), rng.Uniform(r, -1, 1), r)); err != nil {
+		rep := Report{Kind: KindGrid, Resp: c.Grid().Perturb(rng.Uniform(r, -1, 1), rng.Uniform(r, -1, 1), r)}
+		if err := add(c, st, rep); err != nil {
 			t.Fatal(err)
 		}
+		ref.add(rep)
 	}
-	v := est.View()
+	v := c.View(st).GridFor(0)
 	if v.Cells() != 4 {
 		t.Fatalf("cells = %d, want 4", v.Cells())
 	}
 	for _, q := range [][4]float64{{-1, 1, -1, 1}, {-0.3, 0.8, -1, 0}, {0, 0.1, 0.1, 0.2}} {
-		want := est.RectMass(q[0], q[1], q[2], q[3])
+		want := ref.rectMass(0, q[0], q[1], q[2], q[3])
 		got := v.RectMass(q[0], q[1], q[2], q[3])
 		if math.Abs(want-got) > 1e-12 {
 			t.Errorf("rect %v: estimator %.9f != view %.9f", q, want, got)
@@ -238,9 +330,9 @@ func assertViewsIdentical(t *testing.T, got, want *View) {
 // and a repeated read derives nothing more.
 func TestViewDerivesOnFirstRead(t *testing.T) {
 	col := viewTestCollector(t)
-	acc := NewAccumulator(col)
-	foldTracked(t, acc, rng.New(41), 2000, map[int]bool{}, map[int]bool{})
-	v := acc.View()
+	st := col.NewState()
+	foldTracked(t, col, st, rng.New(41), 2000, map[int]bool{}, map[int]bool{})
+	v := col.View(st)
 	if lv, gv := derivedSlots(v); len(lv)+len(gv) != 0 {
 		t.Fatalf("fresh view derived levels %v grids %v", lv, gv)
 	}
@@ -298,9 +390,9 @@ func TestViewConcurrentFirstRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := NewAccumulator(col)
-	foldTracked(t, acc, rng.New(43), 300, map[int]bool{}, map[int]bool{})
-	ref := acc.View()
+	st := col.NewState()
+	foldTracked(t, col, st, rng.New(43), 300, map[int]bool{}, map[int]bool{})
+	ref := col.View(st)
 	want1, err := ref.Range1D(0, -0.8, 0.3)
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +402,7 @@ func TestViewConcurrentFirstRead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v := acc.View()
+	v := col.View(st)
 	const readers = 8
 	var (
 		start, done sync.WaitGroup

@@ -6,9 +6,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"ldp/internal/core"
@@ -353,6 +355,22 @@ func TestPipelineServerEndToEnd(t *testing.T) {
 			t.Errorf("%s unexpectedly succeeded", path)
 		}
 		resp.Body.Close()
+	}
+	// A NaN range endpoint parses as a float but bounds no range: 400 with
+	// the view's one error, in 1-D and 2-D alike.
+	for _, path := range []string{
+		"/v1/query?kind=range&attr=age&lo=NaN&hi=0.5",
+		"/v1/query?kind=range&attr=age&lo=-0.5&hi=0.5&attr2=income&lo2=0&hi2=NaN",
+	} {
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "rangequery: range endpoint is NaN") {
+			t.Errorf("%s -> %s %q, want 400 naming the NaN endpoint", path, resp.Status, body)
+		}
 	}
 
 	// A malformed frame rejects the whole batch atomically.

@@ -146,7 +146,6 @@ func run(args []string) error {
 		logdir    = fs.String("logdir", "", "report log directory (empty = no persistence)")
 		qStale    = fs.Int64("query-staleness", 0, "serve cached query views trailing ingest by up to this many reports (0 = exact)")
 		qMaxAge   = fs.Duration("query-maxage", 0, "rebuild cached query views older than this (0 = no age bound)")
-		incFrac   = fs.Float64("incremental", 0.25, "incremental view rebuild crossover: fold only ingest deltas when they are at most this fraction of the watermark (0 = always full snapshots)")
 		sgdOn     = fs.Bool("sgd", false, "register the federated LDP-SGD gradient task")
 		sgdRnds   = fs.Int("sgdrounds", 20, "federated SGD rounds")
 		sgdGroup  = fs.Int("sgdgroup", 512, "gradient reports per SGD round")
@@ -205,7 +204,6 @@ func run(args []string) error {
 	opts := []pipeline.Option{
 		pipeline.WithShards(*shards),
 		pipeline.WithQueryStaleness(*qStale, *qMaxAge),
-		pipeline.WithIncrementalView(*incFrac),
 		pipeline.WithTelemetry(reg),
 	}
 	if *rangeOn {

@@ -57,17 +57,15 @@
 // stays within the staleness bound (WithQueryStaleness; the default bound
 // of 0 reports keeps queries exact). A cached hit is lock-free and
 // allocation-free; a stale view is rebuilt single-flight, so a query
-// stampede triggers at most one snapshot — and the rebuild itself is
-// incremental by default: every fold marks the components it touched
-// dirty under its shard lock (per-attribute count columns, hierarchy
-// levels, grids), and the builder folds only the dirty shards' count
-// deltas into the previous view's immutable state, copying only the
-// changed count columns, hierarchy levels and grids and skipping clean
-// shards without taking their locks. When the delta since the previous
-// view exceeds a crossover fraction of the watermark
-// (WithIncrementalView, default 0.25) the rebuild falls back
-// to a full sync that visits every shard in order. Either way the result
-// is bit-identical to Snapshot at the same watermark — incremental
+// stampede triggers at most one snapshot — and every rebuild is
+// incremental: every fold marks the count columns it touched dirty under
+// its shard lock (per-attribute freq and joint columns, hierarchy levels,
+// grids), and the builder folds only the dirty columns' deltas into one
+// running sum, skipping clean shards without taking their locks. The new
+// view copies the changed columns, hierarchy levels and grids out of that
+// sum and carries every clean one over from the previous view; only a
+// pipeline's first build copies every column. The result is
+// bit-identical to Snapshot at the same watermark — incremental
 // maintenance changes the cost of a rebuild (delta-proportional instead
 // of domain-proportional), never its answers. Inside a Result, frequency
 // estimates debias lazily per queried attribute from raw pooled support

@@ -7,12 +7,12 @@
 //
 //   - A versioned, CRC-framed shard-snapshot wire format (Snapshot,
 //     AppendSnapshot, DecodeSnapshotInto): a columnar dump of a
-//     pipeline's support counts, reporter counts, numeric sums, range
-//     accumulators, and (for inspection only) trainer state, headed by
-//     the exporting pipeline's config fingerprint plus an (edge, seq,
-//     boot) delivery header. Mismatched topologies are rejected at the
-//     boundary by the fingerprint; retried deliveries are deduplicated
-//     by the per-edge monotone sequence number.
+//     pipeline's report counters, numeric sums, count columns (freq,
+//     joint, range levels and grids), and (for inspection only) trainer
+//     state, headed by the exporting pipeline's config fingerprint plus
+//     an (edge, seq, boot) delivery header. Mismatched topologies are
+//     rejected at the boundary by the fingerprint; retried deliveries are
+//     deduplicated by the per-edge monotone sequence number.
 //
 //   - RetryPolicy, a bounded exponential-backoff-with-jitter helper
 //     shared by the edge forwarder and the transport clients.
@@ -35,6 +35,7 @@ import (
 	"hash/crc32"
 	"math"
 
+	"ldp/internal/freq"
 	"ldp/internal/pipeline"
 	"ldp/internal/rangequery"
 )
@@ -138,10 +139,10 @@ func AppendSnapshot(dst []byte, s *Snapshot) ([]byte, error) {
 	dst = append(dst, s.Boot...)
 
 	var flags byte
-	if st.FreqCounts != nil {
+	if st.Freq != nil {
 		flags |= flagFreq
 	}
-	if st.JointCounts != nil {
+	if st.Joint != nil {
 		flags |= flagJoint
 	}
 	if st.Range != nil {
@@ -161,20 +162,31 @@ func AppendSnapshot(dst []byte, s *Snapshot) ([]byte, error) {
 	dst = appendFloats(dst, st.MeanSum)
 	dst = appendFloats(dst, st.JointSum)
 
+	// The freq and joint sections hold one column per attribute; the range
+	// section is the range report count, then the levels and the grids,
+	// each list prefixed by its length.
 	var err error
-	if st.FreqCounts != nil {
-		if dst, err = appendCountColumns(dst, len(st.MeanSum), st.FreqCounts, st.FreqN); err != nil {
+	for _, cols := range [2][]freq.CountState{st.Freq, st.Joint} {
+		if cols == nil {
+			continue
+		}
+		if len(cols) != len(st.MeanSum) {
+			return nil, fmt.Errorf("cluster: malformed state (count columns cover %d attributes, want %d)", len(cols), len(st.MeanSum))
+		}
+		if dst, err = appendCols(dst, cols); err != nil {
 			return nil, err
 		}
 	}
-	if st.JointCounts != nil {
-		if dst, err = appendCountColumns(dst, len(st.MeanSum), st.JointCounts, st.JointN); err != nil {
-			return nil, err
-		}
-	}
-	if st.Range != nil {
-		if dst, err = appendRangeState(dst, st.Range); err != nil {
-			return nil, err
+	if rs := st.Range; rs != nil {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(rs.N))
+		for _, cols := range [2][]freq.CountState{rs.Levels, rs.Grids} {
+			if len(cols) > maxLists {
+				return nil, fmt.Errorf("cluster: range state with %d count lists exceeds limit", len(cols))
+			}
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(cols)))
+			if dst, err = appendCols(dst, cols); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if st.Trainer != nil {
@@ -210,52 +222,21 @@ func appendFloats(dst []byte, vs []float64) []byte {
 	return dst
 }
 
-func appendCountColumns(dst []byte, d int, counts [][]float64, ns []int64) ([]byte, error) {
-	if len(counts) != d || len(ns) != d {
-		return nil, fmt.Errorf("cluster: malformed state (count columns cover %d attributes, want %d)", len(counts), d)
-	}
-	for j := 0; j < d; j++ {
-		if len(counts[j]) > maxDomain {
-			return nil, fmt.Errorf("cluster: count domain %d exceeds limit", len(counts[j]))
+// appendCols appends each column of a list: its domain as a u32 and, for
+// a nonempty column, its support counts and reporter count. An empty
+// column (a numeric attribute's) is its zero domain alone.
+func appendCols(dst []byte, cols []freq.CountState) ([]byte, error) {
+	for i := range cols {
+		c := &cols[i]
+		if len(c.Counts) > maxDomain {
+			return nil, fmt.Errorf("cluster: count domain %d exceeds limit", len(c.Counts))
 		}
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(counts[j])))
-		if counts[j] != nil {
-			dst = appendFloats(dst, counts[j])
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(ns[j]))
-		}
-	}
-	return dst, nil
-}
-
-func appendRangeState(dst []byte, st *rangequery.AccState) ([]byte, error) {
-	if len(st.Levels) > maxLists || len(st.Grids) > maxLists {
-		return nil, fmt.Errorf("cluster: range state with %d levels / %d grids exceeds limit", len(st.Levels), len(st.Grids))
-	}
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.N))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(st.Levels)))
-	for i := range st.Levels {
-		var err error
-		if dst, err = appendCountState(dst, &st.Levels[i]); err != nil {
-			return nil, err
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.Counts)))
+		if len(c.Counts) > 0 {
+			dst = appendFloats(dst, c.Counts)
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(c.N))
 		}
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(st.Grids)))
-	for i := range st.Grids {
-		var err error
-		if dst, err = appendCountState(dst, &st.Grids[i]); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
-func appendCountState(dst []byte, c *rangequery.CountState) ([]byte, error) {
-	if len(c.Counts) > maxDomain {
-		return nil, fmt.Errorf("cluster: count domain %d exceeds limit", len(c.Counts))
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.Counts)))
-	dst = appendFloats(dst, c.Counts)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.N))
 	return dst, nil
 }
 
@@ -436,30 +417,35 @@ func DecodeSnapshotInto(frame []byte, s *Snapshot) error {
 		return err
 	}
 
-	if flags&flagFreq != 0 {
-		if st.FreqCounts, st.FreqN, err = r.countColumns(d, st.FreqCounts, st.FreqN); err != nil {
+	for i, cols := range [2]*[]freq.CountState{&st.Freq, &st.Joint} {
+		if flags&[2]byte{flagFreq, flagJoint}[i] == 0 {
+			*cols = nil
+		} else if *cols, err = r.cols(d, *cols); err != nil {
 			return err
 		}
-	} else {
-		st.FreqCounts, st.FreqN = nil, nil
 	}
-	if flags&flagJoint != 0 {
-		if st.JointCounts, st.JointN, err = r.countColumns(d, st.JointCounts, st.JointN); err != nil {
-			return err
-		}
+	if flags&flagRange == 0 {
+		st.Range = nil
 	} else {
-		st.JointCounts, st.JointN = nil, nil
-	}
-
-	if flags&flagRange != 0 {
 		if st.Range == nil {
 			st.Range = &rangequery.AccState{}
 		}
-		if err = r.rangeState(st.Range); err != nil {
+		rs := st.Range
+		if rs.N, err = r.count(); err != nil {
 			return err
 		}
-	} else {
-		st.Range = nil
+		for _, cols := range [2]*[]freq.CountState{&rs.Levels, &rs.Grids} {
+			n, err := r.u32()
+			if err != nil {
+				return err
+			}
+			if n > maxLists {
+				return fmt.Errorf("cluster: %d count lists exceed limit", n)
+			}
+			if *cols, err = r.cols(int(n), *cols); err != nil {
+				return err
+			}
+		}
 	}
 
 	if flags&flagTrainer != 0 {
@@ -500,82 +486,33 @@ func DecodeSnapshotInto(frame []byte, s *Snapshot) error {
 	return nil
 }
 
-func (r *snapReader) countColumns(d int, prevCounts [][]float64, prevNs []int64) ([][]float64, []int64, error) {
-	counts := prevCounts
-	if cap(counts) >= d {
-		counts = counts[:d]
-	} else {
-		counts = make([][]float64, d)
+// cols reads a list of n columns (see appendCols) into a slice recycled
+// from prev. Every column takes at least its 4-byte domain, so a list
+// longer than the rest of the payload is rejected before it is allocated.
+func (r *snapReader) cols(n int, prev []freq.CountState) ([]freq.CountState, error) {
+	if r.remaining() < 4*n {
+		return nil, ErrTruncated
 	}
-	ns := prevNs
-	if cap(ns) >= d {
-		ns = ns[:d]
-	} else {
-		ns = make([]int64, d)
-	}
-	for j := 0; j < d; j++ {
-		card, err := r.u32()
-		if err != nil {
-			return nil, nil, err
-		}
-		if card == 0 {
-			counts[j], ns[j] = nil, 0
-			continue
-		}
-		if card > maxDomain {
-			return nil, nil, fmt.Errorf("cluster: count domain %d exceeds limit", card)
-		}
-		if counts[j], err = r.floats(int(card), counts[j]); err != nil {
-			return nil, nil, err
-		}
-		if ns[j], err = r.count(); err != nil {
-			return nil, nil, err
-		}
-	}
-	return counts, ns, nil
-}
-
-func (r *snapReader) rangeState(st *rangequery.AccState) error {
-	var err error
-	if st.N, err = r.count(); err != nil {
-		return err
-	}
-	if st.Levels, err = r.countStates(st.Levels); err != nil {
-		return err
-	}
-	if st.Grids, err = r.countStates(st.Grids); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (r *snapReader) countStates(prev []rangequery.CountState) ([]rangequery.CountState, error) {
-	n32, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if n32 > maxLists {
-		return nil, fmt.Errorf("cluster: %d count lists exceed limit", n32)
-	}
-	n := int(n32)
 	out := prev
 	if cap(out) >= n {
 		out = out[:n]
 	} else {
-		out = make([]rangequery.CountState, n)
+		out = make([]freq.CountState, n)
 	}
-	for i := 0; i < n; i++ {
+	for i := range out {
+		c := &out[i]
 		domain, err := r.u32()
 		if err != nil {
 			return nil, err
 		}
-		if domain > maxDomain {
-			return nil, fmt.Errorf("cluster: count domain %d exceeds limit", domain)
+		if domain == 0 {
+			*c = freq.CountState{}
+			continue
 		}
-		if out[i].Counts, err = r.floats(int(domain), out[i].Counts); err != nil {
+		if c.Counts, err = r.floats(int(domain), c.Counts); err != nil {
 			return nil, err
 		}
-		if out[i].N, err = r.count(); err != nil {
+		if c.N, err = r.count(); err != nil {
 			return nil, err
 		}
 	}

@@ -41,19 +41,22 @@ type ReportBatch struct {
 	entBitOff []int32
 	entBitLen []int32
 
-	// Range columns: rngIdx[i] indexes them for reports with task
-	// TaskRange and is -1 otherwise.
-	rngIdx    []int32
-	rngKind   []uint8 // rangequery.ReportKind
-	rngAttr   []int
-	rngDepth  []int
-	rngPair   []int
-	rngVal    []int
-	rngBitOff []int32
-	rngBitLen []int32 // -1 marks a value (GRR) response
+	// Range column: rngIdx[i] indexes it for reports with task TaskRange
+	// and is -1 otherwise.
+	rngIdx []int32
+	rng    []rangeEntry
 
 	// bits is the shared flat buffer behind every bitset span.
 	bits []uint64
+}
+
+// rangeEntry is one range report's element of the range column: the
+// rangequery.Report fields, with the response as a value or as a span of
+// the batch's shared bit buffer.
+type rangeEntry struct {
+	kind                   rangequery.ReportKind
+	attr, depth, pair, val int
+	bitOff, bitLen         int32 // bitLen -1 marks a value (GRR) response
 }
 
 // NewReportBatch returns an empty batch. Callers that ingest continuously
@@ -104,13 +107,7 @@ func (b *ReportBatch) Reset() {
 	b.entBitOff = b.entBitOff[:0]
 	b.entBitLen = b.entBitLen[:0]
 	b.rngIdx = b.rngIdx[:0]
-	b.rngKind = b.rngKind[:0]
-	b.rngAttr = b.rngAttr[:0]
-	b.rngDepth = b.rngDepth[:0]
-	b.rngPair = b.rngPair[:0]
-	b.rngVal = b.rngVal[:0]
-	b.rngBitOff = b.rngBitOff[:0]
-	b.rngBitLen = b.rngBitLen[:0]
+	b.rng = b.rng[:0]
 	b.bits = b.bits[:0]
 }
 
@@ -126,7 +123,7 @@ func (b *ReportBatch) Mark() BatchMark {
 	return BatchMark{
 		reports: len(b.task),
 		entries: len(b.entAttr),
-		ranges:  len(b.rngKind),
+		ranges:  len(b.rng),
 		bits:    len(b.bits),
 		grads:   b.nGrad,
 	}
@@ -146,13 +143,7 @@ func (b *ReportBatch) Truncate(m BatchMark) {
 	b.entBitOff = b.entBitOff[:m.entries]
 	b.entBitLen = b.entBitLen[:m.entries]
 	b.rngIdx = b.rngIdx[:m.reports]
-	b.rngKind = b.rngKind[:m.ranges]
-	b.rngAttr = b.rngAttr[:m.ranges]
-	b.rngDepth = b.rngDepth[:m.ranges]
-	b.rngPair = b.rngPair[:m.ranges]
-	b.rngVal = b.rngVal[:m.ranges]
-	b.rngBitOff = b.rngBitOff[:m.ranges]
-	b.rngBitLen = b.rngBitLen[:m.ranges]
+	b.rng = b.rng[:m.ranges]
 	b.bits = b.bits[:m.bits]
 }
 
@@ -232,14 +223,8 @@ func (b *ReportBatch) appendRange(kind rangequery.ReportKind, attr, depth, pair,
 	b.task = append(b.task, TaskRange)
 	b.round = append(b.round, 0)
 	b.entOff = append(b.entOff, int32(len(b.entAttr)))
-	b.rngIdx = append(b.rngIdx, int32(len(b.rngKind)))
-	b.rngKind = append(b.rngKind, uint8(kind))
-	b.rngAttr = append(b.rngAttr, attr)
-	b.rngDepth = append(b.rngDepth, depth)
-	b.rngPair = append(b.rngPair, pair)
-	b.rngVal = append(b.rngVal, val)
-	b.rngBitOff = append(b.rngBitOff, bitOff)
-	b.rngBitLen = append(b.rngBitLen, bitLen)
+	b.rngIdx = append(b.rngIdx, int32(len(b.rng)))
+	b.rng = append(b.rng, rangeEntry{kind, attr, depth, pair, val, bitOff, bitLen})
 }
 
 // growBits extends the shared bit buffer by `words` elements without
@@ -318,18 +303,12 @@ func (b *ReportBatch) Report(i int) Report {
 // folding, not for retention. The caller must have checked task[i] ==
 // TaskRange.
 func (b *ReportBatch) rangeAlias(i int) rangequery.Report {
-	r := b.rngIdx[i]
-	rep := rangequery.Report{
-		Kind:  rangequery.ReportKind(b.rngKind[r]),
-		Attr:  b.rngAttr[r],
-		Depth: b.rngDepth[r],
-		Pair:  b.rngPair[r],
-	}
-	if n := b.rngBitLen[r]; n < 0 {
-		rep.Resp.Value = b.rngVal[r]
+	e := &b.rng[b.rngIdx[i]]
+	rep := rangequery.Report{Kind: e.kind, Attr: e.attr, Depth: e.depth, Pair: e.pair}
+	if e.bitLen < 0 {
+		rep.Resp.Value = e.val
 	} else {
-		off := b.rngBitOff[r]
-		rep.Resp.Bits = freq.Bitset(b.bits[off : off+n])
+		rep.Resp.Bits = freq.Bitset(b.bits[e.bitOff : e.bitOff+e.bitLen])
 	}
 	return rep
 }

@@ -265,9 +265,9 @@ func BenchmarkQuerySnapshot(b *testing.B) {
 // exactly one report. This is the cold-query cliff the delta-proportional
 // builder removes — the per-refresh cost must track the delta, not the
 // domain, and the CI allocation guard bounds it to a small constant
-// number of allocations (the fresh Result shell, the copied counts of
-// the dirty slot, and the estimates the reads derive), independent of
-// domain size.
+// number of allocations (the new Result and its slices, the copied
+// counts of the dirty column or slot, and the estimates the reads
+// derive), independent of domain size.
 func BenchmarkViewRefreshIncremental(b *testing.B) {
 	p := benchQueryPipeline(b)
 	reps := benchReports(b, p, 256)
@@ -286,10 +286,9 @@ func BenchmarkViewRefreshIncremental(b *testing.B) {
 // BenchmarkDashboardRefresh replays perfbench's dashboard op in process,
 // without HTTP: BR at eps 1 with a 4096-bucket range domain, 32x32 grids
 // and 2 shards. Each op folds a pre-randomized 16-report batch, calls
-// View (an incremental rebuild, the preload being past the crossover) and
-// makes the refresh's four reads: every mean, the region histogram, the
-// age 1-D range and the age x income 2-D range. It measures the view
-// rebuild and the derivations the reads trigger.
+// View (an incremental rebuild) and makes the refresh's four reads (see
+// dashboardReads). It measures the view rebuild and the derivations the
+// reads trigger.
 func BenchmarkDashboardRefresh(b *testing.B) {
 	c := dataset.NewBR()
 	p, err := New(c.Schema(), 1, WithShards(2), WithRange(rangequery.Config{Buckets: 4096, GridCells: 32}))
@@ -313,25 +312,79 @@ func BenchmarkDashboardRefresh(b *testing.B) {
 		}
 	}
 	p.View()
-	one := RangeQuery{Attr: "age", Lo: -0.5, Hi: 0.25}
-	two := RangeQuery{Attr: "age", Lo: -0.5, Hi: 0.5, Attr2: "income", Lo2: -1, Hi2: 0}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := p.AddBatch(batches[i%len(batches)]); err != nil {
 			b.Fatal(err)
 		}
-		res := p.View()
-		res.Means()
-		if _, err := res.FreqView("region"); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := res.Range(one); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := res.Range(two); err != nil {
-			b.Fatal(err)
-		}
+		dashboardReads(b, p.View())
+	}
+}
+
+// dashboardReads makes perfbench's dashboard refresh reads against a BR
+// result: every mean, the region histogram, the age 1-D range and the
+// age x income 2-D range.
+func dashboardReads(b *testing.B, res *Result) {
+	res.Means()
+	if _, err := res.FreqView("region"); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := res.Range(RangeQuery{Attr: "age", Lo: -0.5, Hi: 0.25}); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := res.Range(RangeQuery{Attr: "age", Lo: -0.5, Hi: 0.5, Attr2: "income", Lo2: -1, Hi2: 0}); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkViewRebuildBurst measures a rebuild after a burst as large as
+// everything the previous view held: BR at eps 1 with 2 shards, over a
+// small (256 buckets, 8x8 grids) and a large (4096 buckets, 32x32 grids)
+// range domain. Untimed, each op builds a fresh pipeline, folds one
+// 64-report batch, builds a view and makes the dashboard reads on it, and
+// folds a second 64-report batch. Timed: View plus the dashboard reads.
+func BenchmarkViewRebuildBurst(b *testing.B) {
+	const perBatch = 64
+	c := dataset.NewBR()
+	for _, dom := range []struct{ buckets, cells int }{{256, 8}, {4096, 32}} {
+		b.Run(fmt.Sprintf("B%d_g%d", dom.buckets, dom.cells), func(b *testing.B) {
+			cfg := rangequery.Config{Buckets: dom.buckets, GridCells: dom.cells}
+			var batches [2]*ReportBatch
+			for i := range batches {
+				p, err := New(c.Schema(), 1, WithShards(2), WithRange(cfg))
+				if err != nil {
+					b.Fatal(err)
+				}
+				batches[i] = NewReportBatch()
+				for j := 0; j < perBatch; j++ {
+					r := rng.NewStream(5, uint64(i*perBatch+j))
+					rep, err := p.Randomize(c.Tuple(r), r)
+					if err != nil {
+						b.Fatal(err)
+					}
+					batches[i].Append(rep)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p, err := New(c.Schema(), 1, WithShards(2), WithRange(cfg))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := p.AddBatch(batches[0]); err != nil {
+					b.Fatal(err)
+				}
+				dashboardReads(b, p.View())
+				if err := p.AddBatch(batches[1]); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				dashboardReads(b, p.View())
+			}
+		})
 	}
 }
 

@@ -3,15 +3,25 @@ package pipeline
 import "math/bits"
 
 // bitset is a fixed-capacity dirty-bit vector. The sharded pipeline keeps
-// one per shard per component family (freq attrs, joint attrs, hierarchy
-// level slots, grid slots), written under the shard lock by the fold
-// paths and drained under the same lock by the incremental view builder.
+// one per shard per count-column family (freq attrs, joint attrs,
+// hierarchy level slots, grid slots), written under the shard lock by the
+// fold paths and drained under the same lock by the view builder.
 // A nil bitset is a valid empty set: families a pipeline configuration
-// does not register stay nil and every operation no-ops.
+// does not register stay empty and every operation no-ops.
 type bitset []uint64
 
 // newBits allocates a bitset with capacity for n bits.
 func newBits(n int) bitset { return make(bitset, (n+63)/64) }
+
+// newFamBits allocates one bitset per count-column family of st, with a
+// bit per column.
+func newFamBits(st *AggState) [numFams]bitset {
+	var b [numFams]bitset
+	for f, cols := range st.cols() {
+		b[f] = newBits(len(cols))
+	}
+	return b
+}
 
 // set marks bit i. Out-of-range indices (and nil sets) are ignored so
 // callers never need capacity guards.

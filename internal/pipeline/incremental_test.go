@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -41,14 +40,14 @@ func rebuildCounts(p *Pipeline) (inc, full uint64) {
 
 // TestIncrementalViewMatchesSnapshot is the correctness anchor for
 // delta-proportional view maintenance: after every kind of ingest edge —
-// single Add, AddBatch, MergeState fan-in, gradient folds, and a
-// crossover-triggering burst — the cached view must answer every query
-// surface bit-exactly like a fresh full Snapshot at the same watermark.
-// After every rebuild the builder's running range sum must also equal the
-// shards' summed range columns. The rebuild-kind counters prove each
-// comparison exercised the path it claims to (incremental syncs for small
-// deltas, full fallback past the crossover, incremental again after the
-// fallback re-arms the baselines).
+// single Add, AddBatch, MergeState fan-in, gradient folds, and a burst
+// larger than everything the previous view held — the cached view must
+// answer every query surface bit-exactly like a fresh full Snapshot at
+// the same watermark. After every rebuild the builder's running sum must
+// also equal the shards' summed count columns. The rebuild-kind counters
+// prove each comparison exercised the path it claims to: only the first
+// build, which has no previous view, copies every column; every later
+// one, the burst included, syncs the delta.
 func TestIncrementalViewMatchesSnapshot(t *testing.T) {
 	p, _ := incPipeline(t, 3)
 
@@ -98,68 +97,30 @@ func TestIncrementalViewMatchesSnapshot(t *testing.T) {
 		t.Fatalf("after MergeState: inc=%d full=%d, want 6/1", inc, full)
 	}
 
-	// A delta past the crossover fraction falls back to a full snapshot…
+	// A burst larger than the whole watermark still syncs only the delta…
 	ingestStateReports(t, 41, 3000, p)
 	assertViewMatchesSnapshot(t, p)
-	if inc, full := rebuildCounts(p); inc != 6 || full != 2 {
-		t.Fatalf("after burst: inc=%d full=%d, want 6/2", inc, full)
+	if inc, full := rebuildCounts(p); inc != 7 || full != 1 {
+		t.Fatalf("after burst: inc=%d full=%d, want 7/1", inc, full)
 	}
 
-	// …and the fallback keeps the baselines synced, so the very next
-	// small delta is incremental again and still bit-exact.
+	// …and the next small delta is incremental and bit-exact too.
 	ingestStateReports(t, 43, 10, p)
 	assertViewMatchesSnapshot(t, p)
-	if inc, full := rebuildCounts(p); inc != 7 || full != 2 {
-		t.Fatalf("after re-arm: inc=%d full=%d, want 7/2", inc, full)
+	if inc, full := rebuildCounts(p); inc != 8 || full != 1 {
+		t.Fatalf("after the next delta: inc=%d full=%d, want 8/1", inc, full)
 	}
 }
 
 // assertViewMatchesSnapshot rebuilds the cached view and checks it
-// answers like a fresh full Snapshot, and that the builder's running
-// range sum equals StateSnapshot's range columns count for count.
+// answers like a fresh full Snapshot, and that the builder's running sum
+// equals StateSnapshot's count columns count for count.
 func assertViewMatchesSnapshot(t *testing.T, p *Pipeline) {
 	t.Helper()
 	assertResultsIdentical(t, p.View(), p.Snapshot())
-	if got, want := p.view.aggRange, p.StateSnapshot().Range; !reflect.DeepEqual(got, want) {
-		t.Fatalf("running range sum drifted from the shards' sum: N %d vs %d", got.N, want.N)
-	}
-}
-
-// TestIncrementalViewOption pins the WithIncrementalView contract:
-// out-of-range fractions are rejected at construction, and zero disables
-// the incremental path entirely (every rebuild is a full snapshot, still
-// bit-exact).
-func TestIncrementalViewOption(t *testing.T) {
-	for _, bad := range []float64{-0.1, 1.01, math.NaN()} {
-		if _, err := New(testSchema(t), 4, WithIncrementalView(bad)); err == nil {
-			t.Errorf("WithIncrementalView(%v) accepted", bad)
-		}
-	}
-
-	p, _ := incPipeline(t, 2, WithIncrementalView(0))
-	ingestStateReports(t, 51, 500, p)
-	assertResultsIdentical(t, p.View(), p.Snapshot())
-	ingestStateReports(t, 52, 5, p)
-	assertResultsIdentical(t, p.View(), p.Snapshot())
-	if inc, full := rebuildCounts(p); inc != 0 || full != 2 {
-		t.Fatalf("disabled incremental path: inc=%d full=%d, want 0/2", inc, full)
-	}
-
-	// A tight crossover forces the full path whenever the delta fraction
-	// is exceeded, without ever going stale.
-	q, _ := incPipeline(t, 2, WithIncrementalView(0.001))
-	ingestStateReports(t, 53, 1000, q)
-	q.View()
-	ingestStateReports(t, 54, 100, q) // ~9% of the watermark: past 0.1%
-	assertResultsIdentical(t, q.View(), q.Snapshot())
-	if inc, full := rebuildCounts(q); inc != 0 || full != 2 {
-		t.Fatalf("tight crossover: inc=%d full=%d, want 0/2", inc, full)
-	}
-	ingestStateReports(t, 55, 1, q) // 1 of ~1101: under 0.1%… barely not
-	// 1/1101 ≈ 0.09% < 0.1%, so this one is incremental.
-	assertResultsIdentical(t, q.View(), q.Snapshot())
-	if inc, _ := rebuildCounts(q); inc != 1 {
-		t.Fatalf("sub-crossover delta was not incremental (inc=%d)", inc)
+	want := p.StateSnapshot()
+	if got := &p.view.agg; !reflect.DeepEqual(got.cols(), want.cols()) || got.Range.N != want.Range.N {
+		t.Fatalf("running sum drifted from the shards' sum: range N %d vs %d", got.Range.N, want.Range.N)
 	}
 }
 

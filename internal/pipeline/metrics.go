@@ -31,7 +31,7 @@ type pipelineMetrics struct {
 	rebuild    *telemetry.Histogram // rebuild latency, ns
 
 	rebuildInc  *telemetry.Counter   // delta-proportional (incremental) rebuilds
-	rebuildFull *telemetry.Counter   // full-snapshot rebuilds (cold or past crossover)
+	rebuildFull *telemetry.Counter   // first builds, which copy every column
 	dirtyShards *telemetry.Histogram // shards with any dirty component per incremental rebuild
 	dirtyComps  *telemetry.Histogram // dirty components (attrs + levels + grids) per incremental rebuild
 }
@@ -92,7 +92,7 @@ func (p *Pipeline) initTelemetry(reg *telemetry.Registry) {
 		"Queries that served the previous view while a rebuild was in flight.")
 	m.rebuild = reg.Histogram("ldp_view_rebuild_duration_ns",
 		"Latency of cached-view rebuilds in nanoseconds (power-of-two buckets).")
-	const rebuildKindHelp = "Cached-view rebuilds by kind: incremental (delta-proportional) or full (cold start or past the crossover fraction)."
+	const rebuildKindHelp = "Cached-view rebuilds by kind: incremental (delta-proportional) or full (a pipeline's first build, which has no previous view)."
 	m.rebuildInc = reg.Counter("ldp_view_rebuilds_total", rebuildKindHelp, telemetry.L("kind", "incremental"))
 	m.rebuildFull = reg.Counter("ldp_view_rebuilds_total", rebuildKindHelp, telemetry.L("kind", "full"))
 	m.dirtyShards = reg.Histogram("ldp_view_dirty_shards",

@@ -127,8 +127,6 @@ type config struct {
 	weights       map[TaskKind]float64
 	staleReports  int64
 	staleAge      time.Duration
-	incFrac       float64
-	incSet        bool
 	telemetry     *telemetry.Registry
 }
 
@@ -230,19 +228,16 @@ type shard struct {
 
 	st AggState
 
-	// Dirty bits for incremental view maintenance, written by the fold
-	// paths under mu on every event that touches a component and drained
-	// (synced into the cached view's aggregate, then cleared) by the view
-	// builder under the same lock. A clear bit is a guarantee: the
-	// builder's per-shard baseline for that component equals the shard's
-	// live counts. Bits are event-driven, not diff-driven — a report can
-	// change only a reporter count (an all-zero OUE bitset) and the
-	// component's debiased estimate still moves, so every fold marks the
-	// components it touched regardless of what the counts did.
-	dFreq  bitset // freq-task count columns, by schema attribute
-	dJoint bitset // joint-task count columns, by schema attribute
-	dLevel bitset // hierarchy level slots (see rangequery.Collector.LevelIndex)
-	dGrid  bitset // 2-D grid slots, by pair index
+	// dirty holds one bit per count column of each family (indexed like
+	// AggState.cols), written by the fold paths under mu on every event
+	// that touches a column and drained (synced into the view builder's
+	// running sum, then cleared) by the view builder under the same lock.
+	// A clear bit is a guarantee: the builder's per-shard baseline for that
+	// column equals the shard's live counts. Bits are event-driven, not
+	// diff-driven — a report can change only a reporter count (an all-zero
+	// OUE bitset) and the column's debiased estimate still moves, so every
+	// fold marks the columns it touched regardless of what the counts did.
+	dirty [numFams]bitset
 }
 
 // Pipeline is the unified collector/aggregator. The randomization side
@@ -403,27 +398,13 @@ func New(s *schema.Schema, eps float64, opts ...Option) (*Pipeline, error) {
 	}
 	p.view.maxStale = cfg.staleReports
 	p.view.maxAge = cfg.staleAge
-	p.view.incFrac = defaultIncFrac
-	if cfg.incSet {
-		p.view.incFrac = cfg.incFrac
-	}
 	p.initTelemetry(cfg.telemetry)
 	return p, nil
 }
 
 func (p *Pipeline) newShard() *shard {
-	d := p.sch.Dim()
 	sh := &shard{st: *p.newAggState()}
-	if p.rangeT != nil {
-		sh.dLevel = newBits(p.rangeT.col.LevelSlots())
-		sh.dGrid = newBits(p.rangeT.col.GridSlots())
-	}
-	if p.freq != nil {
-		sh.dFreq = newBits(d)
-	}
-	if p.joint.oracles != nil {
-		sh.dJoint = newBits(d)
-	}
+	sh.dirty = newFamBits(&sh.st)
 	return sh
 }
 
@@ -771,43 +752,45 @@ func (p *Pipeline) foldSpan(sh *shard, b *ReportBatch, lo, hi int) int {
 		case TaskFreq:
 			for e := b.entOff[i]; e < b.entOff[i+1]; e++ {
 				attr := b.entAttr[e]
+				c := &sh.st.Freq[attr]
 				if core.EntryKind(b.entKind[e]) == core.EntryCategoricalBits {
 					off := b.entBitOff[e]
-					freq.FoldBits(sh.st.FreqCounts[attr], b.bits[off:off+b.entBitLen[e]])
+					freq.FoldBits(c.Counts, b.bits[off:off+b.entBitLen[e]])
 				} else {
-					sh.st.FreqCounts[attr][b.entCat[e]]++
+					c.Counts[b.entCat[e]]++
 				}
-				sh.st.FreqN[attr]++
-				sh.dFreq.set(int(attr))
+				c.N++
+				sh.dirty[famFreq].set(attr)
 			}
 			sh.st.NFreq++
 			folded++
 		case TaskJoint:
 			for e := b.entOff[i]; e < b.entOff[i+1]; e++ {
 				attr := b.entAttr[e]
-				switch core.EntryKind(b.entKind[e]) {
-				case core.EntryNumeric:
+				kind := core.EntryKind(b.entKind[e])
+				if kind == core.EntryNumeric {
 					sh.st.JointSum[attr] += b.entNum[e]
-				case core.EntryCategoricalBits:
-					off := b.entBitOff[e]
-					freq.FoldBits(sh.st.JointCounts[attr], b.bits[off:off+b.entBitLen[e]])
-					sh.st.JointN[attr]++
-					sh.dJoint.set(int(attr))
-				default:
-					sh.st.JointCounts[attr][b.entCat[e]]++
-					sh.st.JointN[attr]++
-					sh.dJoint.set(int(attr))
+					continue
 				}
+				c := &sh.st.Joint[attr]
+				if kind == core.EntryCategoricalBits {
+					off := b.entBitOff[e]
+					freq.FoldBits(c.Counts, b.bits[off:off+b.entBitLen[e]])
+				} else {
+					c.Counts[b.entCat[e]]++
+				}
+				c.N++
+				sh.dirty[famJoint].set(attr)
 			}
 			sh.st.NJoint++
 			folded++
 		case TaskRange:
 			rr := b.rangeAlias(i)
-			if slot := p.rangeT.col.Fold(sh.st.Range, rr); rr.Kind == rangequery.KindHier {
-				sh.dLevel.set(slot)
-			} else {
-				sh.dGrid.set(slot)
+			f := famGrid
+			if rr.Kind == rangequery.KindHier {
+				f = famLevel
 			}
+			sh.dirty[f].set(p.rangeT.col.Fold(sh.st.Range, rr))
 			sh.st.NRange++
 			folded++
 		}

@@ -44,7 +44,7 @@ type Result struct {
 	// st is the summed aggregate. Its Range and Trainer fields are nil:
 	// range answers come from rangeView, which copied the range columns.
 	// The freq and joint tasks run their oracles at different budgets, so
-	// their support counts pool separately and combine at query time,
+	// their count columns pool separately and combine at query time,
 	// debiased by these oracles.
 	st           AggState
 	freqOracles  []freq.Oracle
@@ -151,24 +151,19 @@ func (r *Result) freqCombined(i int) []float64 {
 		return *ptr
 	}
 	out := make([]float64, r.sch.Attrs[i].Cardinality)
-	var nF, nJ int64
-	if r.st.FreqCounts != nil && r.st.FreqCounts[i] != nil {
-		nF = r.st.FreqN[i]
-	}
-	if r.st.JointCounts != nil && r.st.JointCounts[i] != nil {
-		nJ = r.st.JointN[i]
-	}
-	if nF+nJ > 0 {
+	// A categorical attribute implies both families are registered.
+	fc, jc := &r.st.Freq[i], &r.st.Joint[i]
+	if nF, nJ := fc.N, jc.N; nF+nJ > 0 {
 		wF := float64(nF) / float64(nF+nJ)
 		wJ := float64(nJ) / float64(nF+nJ)
 		if nF > 0 {
-			fv := freq.NewDebiasView(r.freqOracles[i], r.st.FreqCounts[i], nF)
+			fv := freq.NewDebiasView(r.freqOracles[i], fc.Counts, nF)
 			for v := range out {
 				out[v] += wF * fv.Estimate(v)
 			}
 		}
 		if nJ > 0 {
-			jv := freq.NewDebiasView(r.jointOracles[i], r.st.JointCounts[i], nJ)
+			jv := freq.NewDebiasView(r.jointOracles[i], jc.Counts, nJ)
 			for v := range out {
 				out[v] += wJ * jv.Estimate(v)
 			}

@@ -5,23 +5,25 @@ import (
 	"hash/fnv"
 	"math"
 
+	"ldp/internal/freq"
 	"ldp/internal/rangequery"
-	"ldp/internal/schema"
 )
 
 // AggState is the one in-memory shape of a pipeline's aggregate: the
-// additive report counters, numeric sums, support counts, and reporter
-// counts every estimate derives from, range columns included. Each shard
-// folds reports into one, the view builder keeps one per shard as its
-// sync point, a Result holds their sum, and StateSnapshot exports that
-// sum. Two states exported from pipelines with the same Fingerprint
-// combine by elementwise addition, and the estimates computed from a sum
-// of states are identical to the estimates a single pipeline would
-// compute after ingesting all the underlying reports — that exactness is
-// what the cluster fan-in tier is built on.
+// additive report counters, numeric sums, and support-count columns every
+// estimate derives from, range columns included. Each shard folds reports
+// into one, the view builder keeps one per shard as its sync point and one
+// running sum of the count columns, a Result holds their sum, and
+// StateSnapshot exports that sum. Two states exported from pipelines with
+// the same Fingerprint combine by elementwise addition, and the estimates
+// computed from a sum of states are identical to the estimates a single
+// pipeline would compute after ingesting all the underlying reports —
+// that exactness is what the cluster fan-in tier is built on.
 //
-// Slices are indexed by schema attribute; FreqCounts/JointCounts entries
-// are nil for numeric attributes. A Result's Range is nil (it answers
+// Every count column is a freq.CountState, in four families: Freq and
+// Joint, indexed by schema attribute (a numeric attribute holds the zero
+// value; the slice is nil when the schema has no categorical attribute),
+// and Range.Levels and Range.Grids. A Result's Range is nil (it answers
 // range queries from a rangequery.View of the summed columns), and
 // Trainer is set only on exported states (shards fold gradient reports
 // into the Trainer). Trainer is a read-only observability snapshot:
@@ -36,10 +38,8 @@ type AggState struct {
 	MeanSum  []float64
 	JointSum []float64
 
-	FreqCounts  [][]float64
-	FreqN       []int64
-	JointCounts [][]float64
-	JointN      []int64
+	Freq  []freq.CountState
+	Joint []freq.CountState
 
 	// Range holds the range task's count columns, one per hierarchy level
 	// and grid; nil when the pipeline has no range task.
@@ -61,6 +61,41 @@ type TrainerState struct {
 	Beta     []float64
 }
 
+// The count-column families of an AggState, as cols indexes them.
+const (
+	famFreq  = iota // Freq, by schema attribute
+	famJoint        // Joint, by schema attribute
+	famLevel        // Range.Levels, by rangequery.Collector.LevelIndex
+	famGrid         // Range.Grids, by pair index
+	numFams
+)
+
+// cols returns the state's count-column families, indexed by fam*: nil
+// for a family the state does not carry.
+func (st *AggState) cols() [numFams][]freq.CountState {
+	c := [numFams][]freq.CountState{famFreq: st.Freq, famJoint: st.Joint}
+	if st.Range != nil {
+		c[famLevel], c[famGrid] = st.Range.Levels, st.Range.Grids
+	}
+	return c
+}
+
+// mapCols returns a state with st's report counters and, family by
+// family, fn of st's count columns; its range state keeps st's range
+// report count. Its numeric sums and trainer are unset.
+func (st *AggState) mapCols(fn func(f int, cols []freq.CountState) []freq.CountState) *AggState {
+	var c [numFams][]freq.CountState
+	for f, cols := range st.cols() {
+		c[f] = fn(f, cols)
+	}
+	out := &AggState{NMean: st.NMean, NFreq: st.NFreq, NJoint: st.NJoint, NRange: st.NRange,
+		Freq: c[famFreq], Joint: c[famJoint]}
+	if st.Range != nil {
+		out.Range = &rangequery.AccState{N: st.Range.N, Levels: c[famLevel], Grids: c[famGrid]}
+	}
+	return out
+}
+
 // Total returns the number of shard-folded reports the state carries
 // (gradient reports ride the trainer and are not counted, matching
 // Watermark).
@@ -69,7 +104,7 @@ func (st *AggState) Total() int64 {
 }
 
 // newAggState allocates a zero state with the pipeline's shapes: the one
-// allocator of shard, baseline, and exported states.
+// allocator of shard, baseline, builder and exported states.
 func (p *Pipeline) newAggState() *AggState {
 	d := p.sch.Dim()
 	st := &AggState{
@@ -77,33 +112,26 @@ func (p *Pipeline) newAggState() *AggState {
 		JointSum: make([]float64, d),
 	}
 	if p.freq != nil {
-		st.FreqCounts = make([][]float64, d)
-		st.FreqN = make([]int64, d)
+		st.Freq, st.Joint = p.newCols(), p.newCols()
 	}
-	if p.joint.oracles != nil {
-		st.JointCounts = make([][]float64, d)
-		st.JointN = make([]int64, d)
-	}
-	p.zeroCols(st)
 	if p.rangeT != nil {
 		st.Range = p.rangeT.col.NewState()
 	}
 	return st
 }
 
-// zeroCols fills st's freq and joint count-column tables, which must be
-// allocated, with zeroed columns of the pipeline's domains.
-func (p *Pipeline) zeroCols(st *AggState) {
-	if p.freq != nil {
-		for _, j := range p.freq.attrs {
-			st.FreqCounts[j] = make([]float64, p.sch.Attrs[j].Cardinality)
+// newCols allocates one attribute-indexed count-column family: a zeroed
+// column of the attribute's cardinality for every categorical attribute,
+// the zero value for every numeric one. The freq and joint oracles both
+// run over the schema's categorical domains.
+func (p *Pipeline) newCols() []freq.CountState {
+	cols := make([]freq.CountState, len(p.attrMeta))
+	for j, m := range p.attrMeta {
+		if m.card > 0 {
+			cols[j].Counts = make([]float64, m.card)
 		}
 	}
-	for j, o := range p.joint.oracles {
-		if o != nil {
-			st.JointCounts[j] = make([]float64, o.Cardinality())
-		}
-	}
+	return cols
 }
 
 // StateSnapshot exports the pipeline's raw aggregate state: sumShards'
@@ -135,15 +163,27 @@ func (p *Pipeline) sumShards() *AggState {
 	st := p.newAggState()
 	for _, sh := range p.shards {
 		sh.mu.Lock()
-		st.addScalars(&sh.st)
-		st.addCounts(&sh.st)
+		st.add(&sh.st)
 		sh.mu.Unlock()
 	}
 	return st
 }
 
-// addScalars adds o's report counters, numeric sums, and reporter counts
-// into st elementwise. Shapes must match.
+// add adds o into st elementwise: the scalars and every count column.
+// Shapes must match.
+func (st *AggState) add(o *AggState) {
+	st.addScalars(o)
+	if o.Range != nil {
+		st.Range.N += o.Range.N
+	}
+	dst := st.cols()
+	for f, cols := range o.cols() {
+		freq.AddCols(dst[f], cols)
+	}
+}
+
+// addScalars adds o's report counters and numeric sums into st
+// elementwise. Shapes must match.
 func (st *AggState) addScalars(o *AggState) {
 	st.NMean += o.NMean
 	st.NFreq += o.NFreq
@@ -151,39 +191,30 @@ func (st *AggState) addScalars(o *AggState) {
 	st.NRange += o.NRange
 	addVec(st.MeanSum, o.MeanSum)
 	addVec(st.JointSum, o.JointSum)
-	addVec(st.FreqN, o.FreqN)
-	addVec(st.JointN, o.JointN)
 }
 
-// addCounts adds o's support-count columns into st elementwise: the freq
-// and joint columns, and the range columns with their reporter counts.
-// Shapes must match.
-func (st *AggState) addCounts(o *AggState) {
-	for j, col := range o.FreqCounts {
-		addVec(st.FreqCounts[j], col)
-	}
-	for j, col := range o.JointCounts {
-		addVec(st.JointCounts[j], col)
-	}
-	if o.Range != nil {
-		st.Range.N += o.Range.N
-		addCountStates(st.Range.Levels, o.Range.Levels)
-		addCountStates(st.Range.Grids, o.Range.Grids)
-	}
-}
-
-func addCountStates(dst, src []rangequery.CountState) {
-	for i := range src {
-		addVec(dst[i].Counts, src[i].Counts)
-		dst[i].N += src[i].N
-	}
-}
-
-func addVec[T int64 | float64](dst, src []T) {
+func addVec(dst, src []float64) {
 	dst = dst[:len(src)]
 	for i, v := range src {
 		dst[i] += v
 	}
+}
+
+// sameShape reports whether o adds into st elementwise: the same
+// dimension, range state present in both or neither, and every count
+// family with the same domains column by column.
+func (st *AggState) sameShape(o *AggState) bool {
+	if len(st.MeanSum) != len(o.MeanSum) || len(st.JointSum) != len(o.JointSum) ||
+		(st.Range == nil) != (o.Range == nil) {
+		return false
+	}
+	a, b := st.cols(), o.cols()
+	for f := range a {
+		if !freq.SameDomains(a[f], b[f]) {
+			return false
+		}
+	}
+	return true
 }
 
 // CheckState validates a state's shape and values against the pipeline
@@ -219,14 +250,29 @@ func (p *Pipeline) CheckState(st *AggState) error {
 	if p.mean == nil && st.NMean != 0 {
 		return fmt.Errorf("pipeline: state has mean reports but no mean task is registered")
 	}
-	if err := p.checkCountColumns("freq", p.freq != nil, st.NFreq, st.FreqCounts, st.FreqN, func(j int) int {
-		return p.sch.Attrs[j].Cardinality
-	}); err != nil {
-		return err
+	if p.freq == nil && st.NFreq != 0 {
+		return fmt.Errorf("pipeline: state has freq reports but no freq task is registered")
 	}
-	jointCard := func(j int) int { return p.joint.oracles[j].Cardinality() }
-	if err := p.checkCountColumns("joint", p.joint.oracles != nil, st.NJoint, st.JointCounts, st.JointN, jointCard); err != nil {
-		return err
+	for f, cols := range [2][]freq.CountState{st.Freq, st.Joint} {
+		name := [2]string{"freq", "joint"}[f]
+		if p.freq == nil {
+			if cols != nil {
+				return fmt.Errorf("pipeline: state has %s counts but the schema has no categorical attribute", name)
+			}
+			continue
+		}
+		if len(cols) != d {
+			return fmt.Errorf("pipeline: state %s counts cover %d attributes, schema has %d", name, len(cols), d)
+		}
+		for j := range cols {
+			if err := cols[j].Check(p.attrMeta[j].card); err != nil {
+				kind := "categorical"
+				if p.attrMeta[j].numeric {
+					kind = "numeric"
+				}
+				return fmt.Errorf("pipeline: state %s counts for %s attribute %q: %w", name, kind, p.sch.Attrs[j].Name, err)
+			}
+		}
 	}
 	switch {
 	case p.rangeT == nil:
@@ -243,45 +289,6 @@ func (p *Pipeline) CheckState(st *AggState) error {
 		}
 		if st.Range.N != st.NRange {
 			return fmt.Errorf("pipeline: range state count %d does not match report count %d", st.Range.N, st.NRange)
-		}
-	}
-	return nil
-}
-
-// checkCountColumns validates one oracle count family (freq or joint)
-// against the schema: present exactly when the task is registered, with
-// per-attribute domains matching card(j) for categorical attributes and
-// nil columns for numeric ones.
-func (p *Pipeline) checkCountColumns(name string, has bool, n int64, counts [][]float64, ns []int64, card func(int) int) error {
-	if !has {
-		if counts != nil || ns != nil || n != 0 {
-			return fmt.Errorf("pipeline: state has %s counts but no %s state is registered", name, name)
-		}
-		return nil
-	}
-	d := p.sch.Dim()
-	if len(counts) != d || len(ns) != d {
-		return fmt.Errorf("pipeline: state %s counts cover %d attributes, schema has %d", name, len(counts), d)
-	}
-	for j := 0; j < d; j++ {
-		numeric := p.sch.Attrs[j].Kind == schema.Numeric
-		if numeric {
-			if counts[j] != nil || ns[j] != 0 {
-				return fmt.Errorf("pipeline: state has %s counts for numeric attribute %q", name, p.sch.Attrs[j].Name)
-			}
-			continue
-		}
-		if len(counts[j]) != card(j) {
-			return fmt.Errorf("pipeline: state %s counts for attribute %q have domain %d, want %d",
-				name, p.sch.Attrs[j].Name, len(counts[j]), card(j))
-		}
-		if ns[j] < 0 {
-			return fmt.Errorf("pipeline: negative %s reporter count for attribute %q", name, p.sch.Attrs[j].Name)
-		}
-		for _, v := range counts[j] {
-			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("pipeline: %s count for attribute %q is negative or non-finite", name, p.sch.Attrs[j].Name)
-			}
 		}
 	}
 	return nil
@@ -305,50 +312,20 @@ func (p *Pipeline) MergeState(st *AggState) error {
 	sh := p.shards[idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.st.addScalars(st)
-	sh.st.addCounts(st)
-	// Mark the components the state actually touched so the next
-	// incremental view rebuild re-syncs exactly those. Activity is judged
-	// by reporter count OR support counts: a merged state can move one
-	// without the other, and either moves the debiased estimate.
-	for i := range st.FreqCounts {
-		if colActive(st.FreqCounts[i], st.FreqN[i]) {
-			sh.dFreq.set(i)
-		}
-	}
-	for i := range st.JointCounts {
-		if colActive(st.JointCounts[i], st.JointN[i]) {
-			sh.dJoint.set(i)
-		}
-	}
-	if st.Range != nil {
-		for li := range st.Range.Levels {
-			if colActive(st.Range.Levels[li].Counts, st.Range.Levels[li].N) {
-				sh.dLevel.set(li)
-			}
-		}
-		for g := range st.Range.Grids {
-			if colActive(st.Range.Grids[g].Counts, st.Range.Grids[g].N) {
-				sh.dGrid.set(g)
+	sh.st.add(st)
+	// Mark the columns the state actually touched so the next view
+	// rebuild re-syncs exactly those. A merged state can move a reporter
+	// count without a support count or the reverse, and either moves the
+	// debiased estimate (freq.CountState.Active).
+	for f, cols := range st.cols() {
+		for i := range cols {
+			if cols[i].Active() {
+				sh.dirty[f].set(i)
 			}
 		}
 	}
 	sh.epoch.Add(st.Total())
 	return nil
-}
-
-// colActive reports whether a merged count column carries any activity: a
-// nonzero reporter count or any nonzero support count.
-func colActive(counts []float64, n int64) bool {
-	if n != 0 {
-		return true
-	}
-	for _, c := range counts {
-		if c != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Sub returns the elementwise difference cur - prev: the delta to ship
@@ -362,32 +339,20 @@ func (cur *AggState) Sub(prev *AggState) (*AggState, error) {
 		out.Trainer = nil
 		return out, nil
 	}
-	if len(cur.MeanSum) != len(prev.MeanSum) ||
-		len(cur.FreqCounts) != len(prev.FreqCounts) ||
-		len(cur.JointCounts) != len(prev.JointCounts) ||
-		(cur.Range == nil) != (prev.Range == nil) {
+	if !cur.sameShape(prev) {
 		return nil, fmt.Errorf("pipeline: subtracting states of different shapes")
 	}
-	out := &AggState{
-		NMean:    cur.NMean - prev.NMean,
-		NFreq:    cur.NFreq - prev.NFreq,
-		NJoint:   cur.NJoint - prev.NJoint,
-		NRange:   cur.NRange - prev.NRange,
-		MeanSum:  subVec(cur.MeanSum, prev.MeanSum),
-		JointSum: subVec(cur.JointSum, prev.JointSum),
+	b := prev.cols()
+	out := cur.mapCols(func(f int, cols []freq.CountState) []freq.CountState { return freq.SubCols(cols, b[f]) })
+	out.NMean -= prev.NMean
+	out.NFreq -= prev.NFreq
+	out.NJoint -= prev.NJoint
+	out.NRange -= prev.NRange
+	if out.Range != nil {
+		out.Range.N -= prev.Range.N
 	}
-	var err error
-	if out.FreqCounts, out.FreqN, err = subCols(cur.FreqCounts, cur.FreqN, prev.FreqCounts, prev.FreqN); err != nil {
-		return nil, err
-	}
-	if out.JointCounts, out.JointN, err = subCols(cur.JointCounts, cur.JointN, prev.JointCounts, prev.JointN); err != nil {
-		return nil, err
-	}
-	if cur.Range != nil {
-		if out.Range, err = cur.Range.Sub(prev.Range); err != nil {
-			return nil, err
-		}
-	}
+	out.MeanSum = subVec(cur.MeanSum, prev.MeanSum)
+	out.JointSum = subVec(cur.JointSum, prev.JointSum)
 	return out, nil
 }
 
@@ -397,24 +362,6 @@ func subVec(a, b []float64) []float64 {
 		out[i] = a[i] - b[i]
 	}
 	return out
-}
-
-func subCols(ac [][]float64, an []int64, bc [][]float64, bn []int64) ([][]float64, []int64, error) {
-	if ac == nil {
-		return nil, nil, nil
-	}
-	counts := make([][]float64, len(ac))
-	ns := make([]int64, len(an))
-	for j := range ac {
-		if (ac[j] == nil) != (bc[j] == nil) || len(ac[j]) != len(bc[j]) {
-			return nil, nil, fmt.Errorf("pipeline: subtracting states of different shapes")
-		}
-		if ac[j] != nil {
-			counts[j] = subVec(ac[j], bc[j])
-			ns[j] = an[j] - bn[j]
-		}
-	}
-	return counts, ns, nil
 }
 
 // Add folds o into the state elementwise. Shapes must match, range
@@ -427,65 +374,24 @@ func (st *AggState) Add(o *AggState) error {
 	if o.Trainer != nil {
 		return fmt.Errorf("pipeline: adding federated training state is not supported")
 	}
-	if len(st.MeanSum) != len(o.MeanSum) || len(st.JointSum) != len(o.JointSum) ||
-		len(st.FreqN) != len(o.FreqN) || len(st.JointN) != len(o.JointN) ||
-		!sameCols(st.FreqCounts, o.FreqCounts) || !sameCols(st.JointCounts, o.JointCounts) ||
-		(st.Range == nil) != (o.Range == nil) || (o.Range != nil && !st.Range.SameShape(o.Range)) {
+	if !st.sameShape(o) {
 		return fmt.Errorf("pipeline: adding states of different shapes")
 	}
-	st.addScalars(o)
-	st.addCounts(o)
+	st.add(o)
 	return nil
-}
-
-// sameCols reports whether two count-column tables have the same shape:
-// both nil or neither, and column by column the same domain.
-func sameCols(a, b [][]float64) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
-		return false
-	}
-	for j := range a {
-		if (a[j] == nil) != (b[j] == nil) || len(a[j]) != len(b[j]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Clone deep-copies the state.
 func (st *AggState) Clone() *AggState {
-	out := &AggState{
-		NMean:    st.NMean,
-		NFreq:    st.NFreq,
-		NJoint:   st.NJoint,
-		NRange:   st.NRange,
-		MeanSum:  append([]float64(nil), st.MeanSum...),
-		JointSum: append([]float64(nil), st.JointSum...),
-	}
-	out.FreqCounts, out.FreqN = cloneCols(st.FreqCounts, st.FreqN)
-	out.JointCounts, out.JointN = cloneCols(st.JointCounts, st.JointN)
-	if st.Range != nil {
-		out.Range = st.Range.Clone()
-	}
+	out := st.mapCols(func(_ int, cols []freq.CountState) []freq.CountState { return freq.CloneCols(cols) })
+	out.MeanSum = append([]float64(nil), st.MeanSum...)
+	out.JointSum = append([]float64(nil), st.JointSum...)
 	if st.Trainer != nil {
 		tr := *st.Trainer
 		tr.Beta = append([]float64(nil), st.Trainer.Beta...)
 		out.Trainer = &tr
 	}
 	return out
-}
-
-func cloneCols(c [][]float64, n []int64) ([][]float64, []int64) {
-	if c == nil {
-		return nil, nil
-	}
-	counts := make([][]float64, len(c))
-	for j := range c {
-		if c[j] != nil {
-			counts[j] = append([]float64(nil), c[j]...)
-		}
-	}
-	return counts, append([]int64(nil), n...)
 }
 
 // Fingerprint is a stable hash of everything two pipelines must agree on

@@ -9,6 +9,7 @@ import (
 	"ldp/internal/core"
 	"ldp/internal/rangequery"
 	"ldp/internal/rng"
+	"ldp/internal/schema"
 )
 
 // statePipeline builds a pipeline with every analytics task registered.
@@ -204,13 +205,13 @@ func TestCheckStateRejects(t *testing.T) {
 		{"negative count", func(st *AggState) { st.NMean = -1 }, "negative report count"},
 		{"dim mismatch", func(st *AggState) { st.MeanSum = st.MeanSum[:1] }, "dimension mismatch"},
 		{"non-finite sum", func(st *AggState) { st.MeanSum[0] = math.NaN() }, "non-finite mean sum"},
-		{"negative support", func(st *AggState) { st.FreqCounts[2][0] = -3 }, "negative or non-finite"},
+		{"negative support", func(st *AggState) { st.Freq[2].Counts[0] = -3 }, "negative or non-finite"},
 		{"trainer state", func(st *AggState) { st.Trainer = &TrainerState{} }, "training state"},
 		{"range count mismatch", func(st *AggState) { st.Range.N++ }, "does not match"},
 		{"range domain", func(st *AggState) {
 			st.Range.Levels[0].Counts = st.Range.Levels[0].Counts[:1]
 		}, "domain"},
-		{"counts for numeric attr", func(st *AggState) { st.FreqN[0] = 5 }, "numeric attribute"},
+		{"counts for numeric attr", func(st *AggState) { st.Freq[0].N = 5 }, "numeric attribute"},
 	}
 	for _, tc := range cases {
 		st := src.StateSnapshot()
@@ -283,5 +284,41 @@ func TestStateSnapshotCarriesTrainerButMergeRejects(t *testing.T) {
 	st.Trainer = nil
 	if err := dst.MergeState(st); err != nil {
 		t.Fatalf("MergeState rejected trainer-free state: %v", err)
+	}
+}
+
+// TestMergeStateNumericOnlyJoint: on a schema without categorical
+// attributes the joint task still folds numeric entries, so an exported
+// state counts joint reports but carries no joint count columns, and it
+// must merge.
+func TestMergeStateNumericOnlyJoint(t *testing.T) {
+	s, err := schema.New(
+		schema.Attribute{Name: "age", Kind: schema.Numeric},
+		schema.Attribute{Name: "income", Kind: schema.Numeric},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := New(s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := New(s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(1)
+	rep, err := src.JointTask().Randomize(schema.NewTuple(s), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Add(rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Merge(src); err != nil {
+		t.Fatalf("merging a numeric-only state with a joint report: %v", err)
+	}
+	if got := dst.Snapshot().NTask(TaskJoint); got != 1 {
+		t.Fatalf("merged joint reports %d, want 1", got)
 	}
 }

@@ -2,18 +2,13 @@ package pipeline
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"ldp/internal/freq"
 	"ldp/internal/rangequery"
 )
-
-// defaultIncFrac is the default crossover threshold of WithIncrementalView:
-// a rebuild whose delta exceeds this fraction of the watermark falls back
-// to a full sync.
-const defaultIncFrac = 0.25
 
 // viewCache memoizes one immutable Result behind an atomic pointer: the
 // read half of the pipeline's epoch machinery. A query loads the pointer,
@@ -37,59 +32,29 @@ type viewCache struct {
 	maxStale int64
 	maxAge   time.Duration
 
-	// Incremental-rebuild state, all touched only by the builder under mu.
-	// incFrac is the WithIncrementalView crossover (<= 0 disables); base
-	// holds one sync point per shard; aggRange is the running cross-shard
-	// sum of the range columns, synced in place, that every published view
-	// copies its dirty slots from.
-	// The bitsets are per-build scratch: the unions of the shards' dirty
-	// bits (uFreq/uJoint by attribute, uLevel/uGrid by slot) and the
-	// copy-on-write markers of the two count-column families.
-	incFrac  float64
-	slab     shellSlab
-	base     []shardBaseline
-	aggRange *rangequery.AccState
-	uFreq    bitset
-	uJoint   bitset
-	uLevel   bitset
-	uGrid    bitset
-	cpF      bitset
-	cpJ      bitset
+	// Builder state, touched only by the builder under mu: base holds one
+	// sync point per shard; agg is the running cross-shard sum of every
+	// count column, synced in place, that each published view copies its
+	// changed columns and range slots out of (its scalars are unused); union
+	// is per-build scratch, the union of the shards' dirty bits by family.
+	base  []shardBaseline
+	agg   AggState
+	union [numFams]bitset
 }
 
-// shellSlabSize is how many Result shells one slab refill allocates: large
-// enough to amortize the five block mallocs across many rebuilds, small
-// enough that a caller retaining one Result pins only a few kilobytes of
-// neighbouring shells (never their count columns, which are not slabbed).
-const shellSlabSize = 32
-
-// shellSlab hands out Result shells carved from blocks allocated a slab at
-// a time, so a rebuild does not pay one allocation per state slice.
-// Only the single-flight builder touches it (under view.mu), so it needs
-// no lock; make() zeroes the blocks, and each shell region is handed out
-// exactly once, so popped shells are always pristine.
-type shellSlab struct {
-	res   []Result
-	sums  []float64
-	cols  [][]float64
-	ns    []int64
-	cache []atomic.Pointer[[]float64]
-}
-
-// shardBaseline is the incremental builder's per-shard sync point: a copy
+// shardBaseline is the view builder's per-shard sync point: a copy
 // of exactly the state of that shard the cached aggregate already folded
 // in. The invariant the dirty bits encode — bit clear implies baseline
 // equals the shard's live counts for that component — is maintained by
 // setting bits on every fold event and clearing them only after a sync
 // under the same shard lock.
 type shardBaseline struct {
-	// st holds verbatim copies of the shard's counters, float sums, and
-	// reporter counts at the last sync, and its support counts as of each
-	// column's last sync. The builder re-sums the scalars in shard order
-	// for every rebuild, which is bit-identical to sumShards over the live
-	// shards (a skipped shard's copies equal its live state), while costing
-	// clean shards no lock acquisition. Its range columns, like its support
-	// counts, are as of each column's last sync.
+	// st holds verbatim copies of the shard's report counters and float
+	// sums at the last sync, and its count columns as of each column's last
+	// sync. The builder re-sums the scalars in shard order for every
+	// rebuild, which is bit-identical to sumShards over the live shards (a
+	// skipped shard's copies equal its live state), while costing clean
+	// shards no lock acquisition.
 	st AggState
 
 	// epoch is the shard's epoch counter at the last sync. Every fold
@@ -132,29 +97,13 @@ func WithQueryStaleness(reports int64, maxAge time.Duration) Option {
 	}
 }
 
-// WithIncrementalView tunes the crossover of incremental view rebuilds:
-// when a cached view exists and the ingest delta since it is at most
-// maxDeltaFrac of the total watermark, the rebuild folds only the dirty
-// shards' count deltas into the previous view's immutable state —
-// copying only the count columns, hierarchy levels and grids that
-// actually changed, and carrying every other range slot over with any
-// estimate a read already derived — instead of re-summing the whole
-// domain. Every range slot is derived on its first read in a view, so
-// the rebuild itself derives nothing. Estimates are unaffected: an
-// incremental view is bit-identical to the full snapshot at the same
-// watermark.
-// maxDeltaFrac must be in [0, 1]; 0 disables incremental maintenance
-// entirely (every rebuild is a full snapshot). The default without this
-// option is 0.25.
-func WithIncrementalView(maxDeltaFrac float64) Option {
-	return func(c *config) error {
-		if math.IsNaN(maxDeltaFrac) || maxDeltaFrac < 0 || maxDeltaFrac > 1 {
-			return fmt.Errorf("pipeline: incremental view fraction must be in [0,1], got %v", maxDeltaFrac)
-		}
-		c.incFrac = maxDeltaFrac
-		c.incSet = true
-		return nil
-	}
+// WithIncrementalView is a no-op, kept so existing callers compile. Every
+// view rebuild folds only the dirty shards' count deltas and copies only
+// the changed count columns, hierarchy levels and grids, carrying every
+// other one over from the previous view, so there is no crossover
+// fraction to tune.
+func WithIncrementalView(float64) Option {
+	return func(*config) error { return nil }
 }
 
 // View returns a point-in-time Result, served from the epoch cache when it
@@ -223,150 +172,36 @@ func (p *Pipeline) refreshView() *Result {
 	return res
 }
 
-// buildView materializes the next cached view. With incremental
-// maintenance disabled it is a plain full snapshot; otherwise it routes
-// through buildSync, choosing the incremental path when a previous view
-// exists and the ingest delta since it is within the crossover fraction.
-// The caller holds view.mu (rebuilds are single-flight).
+// buildView builds the next cached view. It folds each shard's delta
+// against the builder's per-shard baselines, in one shard-lock hold per
+// shard: the report counters and float sums are re-summed in shard order
+// (cheap — O(shards x attrs) — and bit-identical to sumShards), while the
+// per-value support counts move by baseline delta into the running sum
+// agg only where dirty bits say a column changed. A clear bit guarantees
+// the baseline equals the live column, so on the first build, too, the
+// dirty columns are all there is to sync. Support counts are
+// integer-valued float64 sums of indicators, so baseline-delta arithmetic
+// is exact and the view is bit-identical to Snapshot at the same
+// watermark. Counts sync eagerly, estimates do not: the view copies the
+// synced freq and joint columns and range slots out of agg (every one of
+// them on the first build, which has no previous view), carries every
+// other one over from the previous view with any estimate a read already
+// derived, and each range slot derives its estimate on its first read.
+// The caller holds view.mu.
 func (p *Pipeline) buildView() *Result {
 	vc := &p.view
-	if vc.incFrac <= 0 {
-		p.met.rebuildFull.Inc()
-		return p.Snapshot()
-	}
-	p.ensureBuilderState()
-	prev := vc.cur.Load()
-	full := prev == nil
-	if !full {
-		wm := p.Watermark()
-		if delta := wm - prev.Watermark(); float64(delta) > vc.incFrac*float64(wm) {
-			full = true
+	if vc.base == nil {
+		vc.base = make([]shardBaseline, len(p.shards))
+		for i := range vc.base {
+			vc.base[i].st = *p.newAggState()
 		}
+		vc.agg = *p.newAggState()
+		vc.union = newFamBits(&vc.agg)
 	}
-	return p.buildSync(prev, full)
-}
-
-// ensureBuilderState lazily allocates the incremental builder's per-shard
-// baselines, running aggregate, and scratch bitsets. The caller holds
-// view.mu; the state lives for the pipeline's lifetime once created.
-func (p *Pipeline) ensureBuilderState() {
-	vc := &p.view
-	if vc.base != nil {
-		return
+	for f := range vc.union {
+		vc.union[f].zero()
 	}
-	d := p.sch.Dim()
-	vc.base = make([]shardBaseline, len(p.shards))
-	for i := range vc.base {
-		vc.base[i].st = *p.newAggState()
-	}
-	if p.rangeT != nil {
-		vc.aggRange = p.rangeT.col.NewState()
-		vc.uLevel = newBits(p.rangeT.col.LevelSlots())
-		vc.uGrid = newBits(p.rangeT.col.GridSlots())
-	}
-	if p.freq != nil {
-		vc.uFreq = newBits(d)
-		vc.cpF = newBits(d)
-	}
-	if p.joint.oracles != nil {
-		vc.uJoint = newBits(d)
-		vc.cpJ = newBits(d)
-	}
-}
-
-// shellShape returns the two dimensions every shell block is sized by: the
-// schema dimension and the number of registered count-column families.
-func (p *Pipeline) shellShape() (d, fams int) {
-	d = p.sch.Dim()
-	if p.freq != nil {
-		fams++
-	}
-	if p.joint.oracles != nil {
-		fams++
-	}
-	return d, fams
-}
-
-// newResultShellSlab pops one Result shell off the builder's slab,
-// refilling it (shellSlabSize shells per refill) when empty. The shell's
-// state has its scalar slices and its count-column tables carved from the
-// slab; the columns themselves are nil, for buildSync to seed. The caller
-// holds view.mu.
-func (p *Pipeline) newResultShellSlab() *Result {
-	s := &p.view.slab
-	if len(s.res) == 0 {
-		d, fams := p.shellShape()
-		s.res = make([]Result, shellSlabSize)
-		s.sums = make([]float64, shellSlabSize*2*d)
-		s.cols = make([][]float64, shellSlabSize*fams*d)
-		s.ns = make([]int64, shellSlabSize*fams*d)
-		s.cache = make([]atomic.Pointer[[]float64], shellSlabSize*d)
-	}
-	d, fams := p.shellShape()
-	res := &s.res[0]
-	s.res = s.res[1:]
-	sums := s.sums[: 2*d : 2*d]
-	s.sums = s.sums[2*d:]
-	cols := s.cols[: fams*d : fams*d]
-	s.cols = s.cols[fams*d:]
-	ns := s.ns[: fams*d : fams*d]
-	s.ns = s.ns[fams*d:]
-	cache := s.cache[:d:d]
-	s.cache = s.cache[d:]
-	res.st.MeanSum = sums[:d:d]
-	res.st.JointSum = sums[d : 2*d : 2*d]
-	if p.freq != nil {
-		res.st.FreqCounts, res.st.FreqN = cols[:d:d], ns[:d:d]
-		cols, ns = cols[d:], ns[d:]
-	}
-	if p.joint.oracles != nil {
-		res.st.JointCounts, res.st.JointN = cols[:d:d], ns[:d:d]
-	}
-	p.fillResult(res, cache)
-	return res
-}
-
-// buildSync builds the next view by folding each shard's delta against the
-// builder's per-shard baselines, in one shard-lock hold per shard: the
-// scalar counters, float sums, and reporter counts are re-summed in shard
-// order (cheap — O(shards x attrs) — and bit-identical to sumShards),
-// while the expensive per-value support counts move by baseline delta
-// only where dirty bits say something changed. In full mode every
-// registered component syncs regardless of bits — the same machinery, so
-// the baselines stay current and incremental rebuilds re-arm after any
-// fallback. Support counts are integer-valued float64 sums of indicators,
-// so baseline-delta arithmetic is exact and an incremental view is
-// bit-identical to a full snapshot at the same watermark. Counts sync
-// eagerly, the range columns into the running sum aggRange, but estimates
-// do not: the range view copies aggRange's dirty levels and grids (every
-// slot in full mode) and carries the rest over from prev, and each slot
-// derives its estimate on its first read. The caller holds view.mu.
-func (p *Pipeline) buildSync(prev *Result, full bool) *Result {
-	vc := &p.view
-	res := p.newResultShellSlab()
-	fresh := prev == nil
-	if fresh {
-		// The first build has no view to alias: it syncs into zeroed
-		// columns.
-		full = true
-		p.zeroCols(&res.st)
-	} else {
-		// Seed the count columns aliasing the previous view's; syncFamily
-		// copies a column the moment its first delta lands (published
-		// views are immutable), and clean columns stay shared.
-		copy(res.st.FreqCounts, prev.st.FreqCounts)
-		copy(res.st.JointCounts, prev.st.JointCounts)
-		vc.cpF.zero()
-		vc.cpJ.zero()
-	}
-	vc.uFreq.zero()
-	vc.uJoint.zero()
-	vc.uLevel.zero()
-	vc.uGrid.zero()
-	var rangeNBefore int64
-	if vc.aggRange != nil {
-		rangeNBefore = vc.aggRange.N
-	}
+	agg := vc.agg.cols()
 	dirtyShards := 0
 	for si, sh := range p.shards {
 		base := &vc.base[si]
@@ -384,139 +219,116 @@ func (p *Pipeline) buildSync(prev *Result, full bool) *Result {
 		b.NMean, b.NFreq, b.NJoint, b.NRange = cur.NMean, cur.NFreq, cur.NJoint, cur.NRange
 		copy(b.MeanSum, cur.MeanSum)
 		copy(b.JointSum, cur.JointSum)
-		copy(b.FreqN, cur.FreqN)
-		copy(b.JointN, cur.JointN)
-		if sh.dFreq.any() || sh.dJoint.any() || sh.dLevel.any() || sh.dGrid.any() {
-			dirtyShards++
-		}
-		syncFamily(full, fresh, sh.dFreq, vc.uFreq, vc.cpF, res.st.FreqCounts, sh.st.FreqCounts, base.st.FreqCounts)
-		syncFamily(full, fresh, sh.dJoint, vc.uJoint, vc.cpJ, res.st.JointCounts, sh.st.JointCounts, base.st.JointCounts)
-		if rs := sh.st.Range; rs != nil {
-			br := base.st.Range
-			syncSlots(full, sh.dLevel, vc.uLevel, vc.aggRange.Levels, rs.Levels, br.Levels)
-			syncSlots(full, sh.dGrid, vc.uGrid, vc.aggRange.Grids, rs.Grids, br.Grids)
+		if cur.Range != nil {
 			// Unconditional: a merged state can move the report count
 			// without moving any column.
-			vc.aggRange.N += rs.N - br.N
-			br.N = rs.N
+			vc.agg.Range.N += cur.Range.N - b.Range.N
+			b.Range.N = cur.Range.N
 		}
-		sh.dFreq.zero()
-		sh.dJoint.zero()
-		sh.dLevel.zero()
-		sh.dGrid.zero()
+		bc, cc := b.cols(), cur.cols()
+		dirty := false
+		for f := range sh.dirty {
+			sh.dirty[f].forEach(func(i int) {
+				dirty = true
+				vc.union[f].set(i)
+				syncCol(&agg[f][i], &bc[f][i], &cc[f][i])
+			})
+			sh.dirty[f].zero()
+		}
+		if dirty {
+			dirtyShards++
+		}
 		sh.mu.Unlock()
 	}
+
+	d := p.sch.Dim()
+	res := &Result{}
+	sums := make([]float64, 2*d)
+	res.st.MeanSum, res.st.JointSum = sums[:d:d], sums[d:]
 	// Scalars re-sum from the baselines serially in shard order — the
 	// same values in the same order as sumShards over the live shards, so
 	// the float sums are bit-identical.
 	for bi := range vc.base {
 		res.st.addScalars(&vc.base[bi].st)
 	}
-	if vc.aggRange != nil {
-		switch {
-		case full || prev.rangeView == nil:
-			res.rangeView = p.rangeT.col.View(vc.aggRange)
-		case !vc.uLevel.any() && !vc.uGrid.any() && vc.aggRange.N == rangeNBefore:
+	p.fillResult(res, make([]atomic.Pointer[[]float64], d))
+	prev := vc.cur.Load()
+	var pc [numFams][]freq.CountState
+	var pv *rangequery.View
+	if prev != nil {
+		pc, pv = prev.st.cols(), prev.rangeView
+	}
+	res.st.Freq = vc.viewCols(famFreq, pc[famFreq])
+	res.st.Joint = vc.viewCols(famJoint, pc[famJoint])
+	if rs := vc.agg.Range; rs != nil {
+		if pv != nil && !vc.union[famLevel].any() && !vc.union[famGrid].any() && rs.N == pv.N() {
 			// Not a single range report arrived since the previous view
 			// (every range fold bumps the reporter count), so the previous
 			// range view is exact as-is — no per-slot walk, no allocation.
-			res.rangeView = prev.rangeView
-		default:
-			res.rangeView = p.rangeT.col.RebuildView(prev.rangeView, vc.aggRange, vc.uLevel.get, vc.uGrid.get)
+			res.rangeView = pv
+		} else {
+			res.rangeView = p.rangeT.col.RebuildView(pv, rs, vc.union[famLevel].get, vc.union[famGrid].get)
 		}
 	}
-	if !full {
-		// Forward the memoized debias results of untouched attributes:
-		// their inputs are unchanged, so the cached combined estimates are
-		// still exact and the first query per attribute stays a lookup.
-		for j := range p.attrMeta {
-			if p.attrMeta[j].numeric || vc.uFreq.get(j) || vc.uJoint.get(j) {
-				continue
-			}
-			if ptr := prev.freqCache[j].Load(); ptr != nil {
-				res.freqCache[j].Store(ptr)
-			}
-		}
-	}
-	if full {
+	if prev == nil {
 		p.met.rebuildFull.Inc()
-	} else {
-		p.met.rebuildInc.Inc()
-		p.met.dirtyShards.Observe(int64(dirtyShards))
-		p.met.dirtyComps.Observe(int64(vc.uFreq.count() + vc.uJoint.count() +
-			vc.uLevel.count() + vc.uGrid.count()))
+		return res
 	}
+	// Forward the memoized debias results of untouched attributes: their
+	// inputs are unchanged, so the cached combined estimates are still
+	// exact and the first query per attribute stays a lookup.
+	for j := range p.attrMeta {
+		if p.attrMeta[j].numeric || vc.union[famFreq].get(j) || vc.union[famJoint].get(j) {
+			continue
+		}
+		if ptr := prev.freqCache[j].Load(); ptr != nil {
+			res.freqCache[j].Store(ptr)
+		}
+	}
+	comps := 0
+	for f := range vc.union {
+		comps += vc.union[f].count()
+	}
+	p.met.rebuildInc.Inc()
+	p.met.dirtyShards.Observe(int64(dirtyShards))
+	p.met.dirtyComps.Observe(int64(comps))
 	return res
 }
 
-// syncFamily folds one shard's count-column deltas for one oracle family
-// into the result and advances the shard's baselines to match (syncCols
-// picks the columns). A result column still aliasing the previous view is
-// copied before its first change. The caller holds the shard lock.
-func syncFamily(full, fresh bool, dirty, union, copied bitset, resCols, shCols, baseCols [][]float64) {
-	syncCols(full, len(shCols), dirty, union, func(j int) {
-		if shCols[j] == nil {
-			return
-		}
-		cow := !fresh && !copied.get(j)
-		if dst, moved := syncCol(resCols[j], baseCols[j], shCols[j], cow); moved && cow {
-			resCols[j] = dst
-			copied.set(j)
-		}
-	})
-}
-
-// syncSlots is syncFamily for the range columns: it folds one shard's
-// level or grid deltas, reporter counts included, into the builder's
-// running sum in place (views copy their slots out of it, so nothing
-// aliases it) and advances the shard's baselines to match. The caller
-// holds the shard lock.
-func syncSlots(full bool, dirty, union bitset, dst, cur, base []rangequery.CountState) {
-	syncCols(full, len(cur), dirty, union, func(i int) {
-		syncCol(dst[i].Counts, base[i].Counts, cur[i].Counts, false)
-		dst[i].N += cur[i].N - base[i].N
-		base[i].N = cur[i].N
-	})
-}
-
-// syncCols calls sync for each column of one family that a build syncs:
-// all n of them in full mode, otherwise only the shard's dirty ones, which
-// accumulate into the build's union set. Union bits gate debias-cache
-// forwarding and range-slot copies, so they are set for every event-dirty
-// column even when its count delta turns out to be zero — the reporter
-// count still moved.
-func syncCols(full bool, n int, dirty, union bitset, sync func(int)) {
-	if full {
-		for i := 0; i < n; i++ {
-			sync(i)
-		}
-		return
+// viewCols returns a view's attribute-indexed columns of family f: a copy
+// of every column this build synced, taken out of the running sum, and
+// the previous view's column for every other one. Published views are
+// immutable, so clean columns are shared, not copied. With no previous
+// view (prev nil) every column is copied.
+func (vc *viewCache) viewCols(f int, prev []freq.CountState) []freq.CountState {
+	sum := vc.agg.cols()[f]
+	if sum == nil {
+		return nil
 	}
-	dirty.forEach(func(i int) {
-		union.set(i)
-		sync(i)
-	})
+	out := make([]freq.CountState, len(sum))
+	for i := range sum {
+		if prev != nil && !vc.union[f].get(i) {
+			out[i] = prev[i]
+		} else {
+			out[i] = sum[i].Clone()
+		}
+	}
+	return out
 }
 
-// syncCol adds the delta cur - base of one count column into dst and
-// advances base to match cur, touching only the entries that moved, so
-// its cost beyond the scan is proportional to the delta's support. With
-// cow set, dst is copied before its first write (it may still alias a
-// published view). It returns the column written to and whether any
-// entry moved. Support counts are integer-valued float64 sums of 0/1
+// syncCol adds the delta cur - base of one count column, reporter count
+// included, into sum and advances base to match cur, touching only the
+// entries that moved, so its cost beyond the scan is proportional to the
+// delta's support. Support counts are integer-valued float64 sums of 0/1
 // indicators, so the delta arithmetic is exact: after any interleaving of
-// syncs, dst holds the same bits as a direct sum of the shards.
-func syncCol(dst, base, cur []float64, cow bool) ([]float64, bool) {
-	moved := false
-	for v, c := range cur {
-		if delta := c - base[v]; delta != 0 {
-			if cow && !moved {
-				dst = append([]float64(nil), dst...)
-			}
-			moved = true
-			dst[v] += delta
-			base[v] = c
+// syncs, sum holds the same bits as a direct sum of the shards.
+func syncCol(sum, base, cur *freq.CountState) {
+	for v, c := range cur.Counts {
+		if delta := c - base.Counts[v]; delta != 0 {
+			sum.Counts[v] += delta
+			base.Counts[v] = c
 		}
 	}
-	return dst, moved
+	sum.N += cur.N - base.N
+	base.N = cur.N
 }

@@ -3,6 +3,8 @@ package rangequery
 import (
 	"testing"
 
+	"ldp/internal/freq"
+
 	"ldp/internal/rng"
 	"ldp/internal/schema"
 )
@@ -200,7 +202,7 @@ func assertCarriedOrCopied(t *testing.T, col *Collector, st *AccState, prev, got
 
 // assertSlotCounts checks a slot holds a copy of column cs's current
 // counts, not the column itself.
-func assertSlotCounts(t *testing.T, s *slot, cs *CountState) {
+func assertSlotCounts(t *testing.T, s *slot, cs *freq.CountState) {
 	t.Helper()
 	if s.counts.N() != cs.N || s.counts.Len() != len(cs.Counts) {
 		t.Fatalf("slot n/len %d/%d, column %d/%d", s.counts.N(), s.counts.Len(), cs.N, len(cs.Counts))

@@ -116,7 +116,7 @@ type slot struct {
 
 // newSlot copies count column cs, which oracle o's reports filled, into a
 // fresh, underived slot.
-func newSlot(o freq.Oracle, cs *CountState) *slot {
+func newSlot(o freq.Oracle, cs *freq.CountState) *slot {
 	return &slot{counts: freq.NewDebiasView(o, append([]float64(nil), cs.Counts...), cs.N)}
 }
 

@@ -90,9 +90,9 @@ func (r *refAcc) rectMass(p int, xlo, xhi, ylo, yhi float64) float64 {
 // sumStates returns the elementwise sum of two states of one collector,
 // the merge the pipeline performs across shards and aggregators.
 func sumStates(a, b *AccState) *AccState {
-	out := a.Clone()
+	out := cloneState(a)
 	out.N += b.N
-	for _, pair := range [][2][]CountState{{out.Levels, b.Levels}, {out.Grids, b.Grids}} {
+	for _, pair := range [][2][]freq.CountState{{out.Levels, b.Levels}, {out.Grids, b.Grids}} {
 		for i, cs := range pair[1] {
 			for v, c := range cs.Counts {
 				pair[0][i].Counts[v] += c
@@ -101,6 +101,11 @@ func sumStates(a, b *AccState) *AccState {
 		}
 	}
 	return out
+}
+
+// cloneState deep-copies a state.
+func cloneState(st *AccState) *AccState {
+	return &AccState{N: st.N, Levels: freq.CloneCols(st.Levels), Grids: freq.CloneCols(st.Grids)}
 }
 
 // TestViewMatchesAccumulator pins the View of folded count columns

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"io"
@@ -370,6 +371,40 @@ func TestPipelineServerEndToEnd(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "rangequery: range endpoint is NaN") {
 			t.Errorf("%s -> %s %q, want 400 naming the NaN endpoint", path, resp.Status, body)
+		}
+	}
+	// An infinite endpoint clamps to the domain edge, as in process: 200
+	// with the in-process mass, the endpoint echoed as the edge.
+	for path, q := range map[string]pipeline.RangeQuery{
+		"/v1/query?kind=range&attr=age&lo=-Inf&hi=Inf": {Attr: "age", Lo: math.Inf(-1), Hi: math.Inf(1)},
+		"/v1/query?kind=range&attr=age&lo=-0.5&hi=Inf&attr2=income&lo2=-Inf&hi2=0.25": {
+			Attr: "age", Lo: -0.5, Hi: math.Inf(1), Attr2: "income", Lo2: math.Inf(-1), Hi2: 0.25},
+	} {
+		want, err := p.View().Range(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			Query pipeline.RangeQuery
+			Mass  float64
+		}
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("%s -> %s (%v), want 200", path, resp.Status, err)
+		}
+		echo := q
+		for _, x := range []*float64{&echo.Lo, &echo.Hi, &echo.Lo2, &echo.Hi2} {
+			if math.IsInf(*x, 0) {
+				*x = math.Copysign(1, *x)
+			}
+		}
+		if got.Mass != want || got.Query != echo {
+			t.Errorf("%s -> query %+v mass %v, want %+v mass %v", path, got.Query, got.Mass, echo, want)
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -533,6 +534,13 @@ func (s *PipelineServer) queryJSON(v *pipeline.Result, q url.Values) (body []byt
 		mass, err := v.Range(rq)
 		if err != nil {
 			return nil, false, err
+		}
+		// JSON has no ±Inf: echo an infinite endpoint as the domain edge
+		// the view clamped it to.
+		for _, x := range []*float64{&rq.Lo, &rq.Hi, &rq.Lo2, &rq.Hi2} {
+			if math.IsInf(*x, 0) {
+				*x = math.Copysign(1, *x)
+			}
 		}
 		payload = map[string]any{"query": rq, "mass": mass}
 	default:

@@ -131,17 +131,6 @@ func WithQueryStaleness(reports int64, maxAge time.Duration) PipelineOption {
 	return pipeline.WithQueryStaleness(reports, maxAge)
 }
 
-// WithIncrementalView tunes the crossover of incremental view rebuilds:
-// when the ingest delta since the cached view is at most maxDeltaFrac of
-// the watermark, a rebuild folds only the dirty shards' count deltas into
-// the previous view's immutable state instead of re-summing the whole
-// domain, and no rebuild derives an estimate before a query reads it;
-// estimates are bit-identical either way. maxDeltaFrac must be in
-// [0, 1]; 0 disables incremental maintenance. The default is 0.25.
-func WithIncrementalView(maxDeltaFrac float64) PipelineOption {
-	return pipeline.WithIncrementalView(maxDeltaFrac)
-}
-
 // TelemetryRegistry collects the system's metrics: zero-allocation
 // counters, gauges, and latency histograms with Prometheus text
 // exposition (Handler/WriteProm) and an expvar bridge (Expvar). One
